@@ -138,23 +138,47 @@ bool LatticeCounter::IsKAnonymousAtDepths(const std::vector<int>& depths,
 
   // Resolve each attribute's remap (depths clamp like RecodingAtDepths)
   // and the mixed-radix cell strides over interval ranks.
-  const int32_t* maps[64];
-  uint64_t strides[64];
-  PGPUB_CHECK_LE(d, sizeof(maps) / sizeof(maps[0]));
+  const int32_t* maps[kMaxLatticeAttrs];
+  uint64_t widths[kMaxLatticeAttrs];
+  uint64_t strides[kMaxLatticeAttrs];
+  PGPUB_CHECK_LE(d, kMaxLatticeAttrs);
   uint64_t cells = 1;
+  bool cells_fit = true;
   for (size_t a = d; a-- > 0;) {
     const int height = static_cast<int>(remap_[a].size()) - 1;
     const int depth = std::min(depths[a], height);
     maps[a] = remap_[a][depth].data();
+    widths[a] = static_cast<uint64_t>(num_intervals_[a][depth]);
     strides[a] = cells;
-    const auto width = static_cast<uint64_t>(num_intervals_[a][depth]);
-    PGPUB_CHECK(width == 0 || cells <= UINT64_MAX / width)
-        << "lattice node cell space overflows u64";
-    cells *= width;
+    cells_fit = cells_fit && !__builtin_mul_overflow(cells, widths[a], &cells);
   }
 
   const size_t m = index_->num_tuples();
   const std::vector<int64_t>& weights = index_->weights();
+  if (!cells_fit) {
+    // The cell key overflows u64: label tuples one attribute at a time,
+    // as QiIndex::Build's multi-pass branch labels rows. A key (label,
+    // rank) always fits u64 since both factors are < 2^32, and the final
+    // labels number at most m, so they count densely.
+    std::vector<uint64_t> labels(m, 0);
+    auto& refine = scratch->sparse_counts;
+    for (size_t a = 0; a < d; ++a) {
+      refine.clear();
+      const std::vector<int32_t>& codes = index_->codes(a);
+      for (size_t t = 0; t < m; ++t) {
+        const uint64_t key =
+            labels[t] * widths[a] + static_cast<uint64_t>(maps[a][codes[t]]);
+        labels[t] = static_cast<uint64_t>(
+            refine.emplace(key, static_cast<int64_t>(refine.size()))
+                .first->second);
+      }
+    }
+    DenseGroupCounter& dense = scratch->dense;
+    dense.Begin(m);
+    for (size_t t = 0; t < m; ++t) dense.Add(labels[t], weights[t]);
+    return dense.AllAtLeast(k);
+  }
+
   if (cells <= kDenseCellBudget) {
     DenseGroupCounter& dense = scratch->dense;
     dense.Begin(cells);

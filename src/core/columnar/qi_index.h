@@ -75,7 +75,8 @@ class LatticeCounter {
 
   /// True iff every QI group of RecodingAtDepths(..., depths) has at
   /// least k rows. Depths clamp to each taxonomy's height, mirroring
-  /// RecodingAtDepths.
+  /// RecodingAtDepths. Exact at any cell-space size: a node whose cell
+  /// key would overflow u64 is counted by per-attribute refinement.
   bool IsKAnonymousAtDepths(const std::vector<int>& depths, int k,
                             Phase2Scratch* scratch) const;
 
@@ -87,6 +88,9 @@ class LatticeCounter {
   /// num_intervals_[a][depth] = interval count of that cut (the radix).
   std::vector<std::vector<int32_t>> num_intervals_;
 };
+
+/// Widest QI set a LatticeCounter (and so Incognito) accepts.
+inline constexpr size_t kMaxLatticeAttrs = 64;
 
 /// Cells at or below this fit the dense epoch-marked counter; larger
 /// lattice nodes fall back to the reused hash map. Counting stays exact

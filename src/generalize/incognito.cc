@@ -1,12 +1,13 @@
 #include "generalize/incognito.h"
 
-#include <map>
+#include <cstdint>
 #include <memory>
 
 #include "common/failpoint.h"
 #include "generalize/metrics.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace pgpub {
 
@@ -45,6 +46,11 @@ Result<GlobalRecoding> IncognitoSearch(
   }
   const size_t d = qi_attrs.size();
   if (d == 0) return Status::InvalidArgument("no QI attributes");
+  if (d > columnar::kMaxLatticeAttrs) {
+    return Status::InvalidArgument(
+        "Incognito supports at most 64 QI attributes; use "
+        "TopDownSpecializer");
+  }
   for (size_t i = 0; i < d; ++i) {
     if (taxonomies[i] == nullptr) {
       return Status::InvalidArgument(
@@ -59,16 +65,32 @@ Result<GlobalRecoding> IncognitoSearch(
         "table has fewer rows than k; no k-anonymous publication exists");
   }
 
-  // Lattice size check: node coordinates are depths 0..height per attr.
-  uint64_t lattice = 1;
+  // A lattice node is a vector of depths 0..height per attr, identified
+  // by its mixed-radix id sum(depth[i] * stride[i]); the size cap keeps
+  // the flat per-node arrays below small.
+  std::vector<size_t> radix(d);
+  std::vector<size_t> stride(d);
+  size_t lattice_size = 1;
   for (size_t i = 0; i < d; ++i) {
-    lattice *= static_cast<uint64_t>(taxonomies[i]->height()) + 1;
-    if (lattice > static_cast<uint64_t>(options.max_lattice_nodes)) {
+    radix[i] = static_cast<size_t>(taxonomies[i]->height()) + 1;
+    stride[i] = lattice_size;
+    lattice_size *= radix[i];
+    if (lattice_size > static_cast<size_t>(options.max_lattice_nodes)) {
       return Status::InvalidArgument(
           "generalization lattice too large for Incognito search; "
           "use TopDownSpecializer");
     }
   }
+  auto depth_of = [&](size_t node, size_t i) {
+    return node / stride[i] % radix[i];
+  };
+  auto depths_of = [&](size_t node) {
+    std::vector<int> depths(d);
+    for (size_t i = 0; i < d; ++i) {
+      depths[i] = static_cast<int>(depth_of(node, i));
+    }
+    return depths;
+  };
 
   // Columnar engine (DESIGN.md §15): build the base frequency set and the
   // per-(attr, depth) remap tables once; every node check below is then a
@@ -98,129 +120,171 @@ Result<GlobalRecoding> IncognitoSearch(
     }
   }
 
-  // Memoized k-anonymity per lattice node. The anonymity of a node is a
-  // pure function of (table, node), so a level's unknown nodes can be
-  // checked in parallel and merged into the memo afterwards without
-  // changing any answer.
-  std::map<std::vector<int>, bool> anon_memo;
-  auto check_anonymous = [&](const std::vector<int>& depths) -> bool {
+  // The k-anonymity of a node is a pure function of (table, node), so a
+  // level's candidates can be checked in parallel and their verdicts
+  // recorded afterwards without changing any answer.
+  auto check_anonymous = [&](size_t node) -> Result<bool> {
+    const std::vector<int> depths = depths_of(node);
     if (use_columnar) {
       columnar::ScratchPool::Lease lease = scratch->Acquire();
       return counter->IsKAnonymousAtDepths(depths, options.k, lease.get());
     }
     GlobalRecoding rec = RecodingAtDepths(qi_attrs, taxonomies, depths);
+    if (rec.NumCells() == UINT64_MAX) {
+      return Status::InvalidArgument(
+          "lattice node's QI signature space overflows u64 on the "
+          "row-wise engine; use the columnar Phase-2 engine");
+    }
     QiGroups groups = ComputeQiGroups(table, rec);
     return IsKAnonymous(groups, options.k);
+  };
+
+  enum Verdict : uint8_t { kUnknown, kPending, kAnonymous, kNotAnonymous };
+  std::vector<uint8_t> verdict(lattice_size, kUnknown);
+  // Incognito's a-priori candidate rule: a node needs a fold only when
+  // every direct generalization (one attr one level shallower) is
+  // recorded k-anonymous. Otherwise monotonicity decides it: that
+  // generalization has a group of fewer than k rows, and refining the
+  // group keeps it below k. (A child of a level node never has an
+  // unrecorded generalization: child - e_j is also a child of
+  // node - e_j, which is k-anonymous and so was on the level before.)
+  auto parents_anonymous = [&](size_t node) {
+    for (size_t i = 0; i < d; ++i) {
+      if (depth_of(node, i) > 0 && verdict[node - stride[i]] != kAnonymous) {
+        return false;
+      }
+    }
+    return true;
   };
 
   // BFS from the root (all depths 0 = most general). A node is *minimal*
   // k-anonymous when it is k-anonymous and none of its children (one attr
   // one level deeper) is. Every edge goes from level L (= depth sum) to
-  // level L+1, so the FIFO BFS of the serial implementation is exactly a
-  // level-order sweep — which is how the parallel version runs it: check
-  // all of a level's unseen children at once, then walk the level in the
-  // original order.
-  std::vector<int> root(d, 0);
-  anon_memo[root] = check_anonymous(root);
-  if (!anon_memo[root]) {
+  // level L+1, so the FIFO BFS is exactly a level-order sweep, which is
+  // how it runs: decide all of a level's children at once, then walk the
+  // level in order.
+  ASSIGN_OR_RETURN(const bool root_anonymous, check_anonymous(0));
+  if (!root_anonymous) {
     return Status::Internal(
         "fully generalized table is not k-anonymous despite n >= k");
   }
-  std::map<std::vector<int>, bool> visited;
-  std::vector<std::vector<int>> level;
-  level.push_back(root);
-  visited[root] = true;
+  verdict[0] = kAnonymous;
+  std::vector<size_t> level = {0};
 
+  constexpr size_t kNoNode = SIZE_MAX;
+  size_t best_node = kNoNode;
   double best_ncp = 2.0;
-  GlobalRecoding best;
-  bool found = false;
   uint64_t nodes_examined = 0;
   uint64_t children_pruned = 0;
   uint64_t minimal_nodes = 0;
+  uint64_t anonymity_checks = 1;
+  uint64_t checks_implied = 0;
 
-  while (!level.empty()) {
-    // Phase A: collect this level's children whose anonymity is unknown,
-    // in first-encounter order (dedup within the batch via the memo
-    // placeholder trick is avoided — a std::map keyed scratch keeps it
-    // simple and deterministic).
-    std::vector<std::vector<int>> unknown;
-    std::map<std::vector<int>, size_t> unknown_index;
-    for (const std::vector<int>& node : level) {
+  for (uint64_t depth_sum = 0; !level.empty(); ++depth_sum) {
+    obs::ScopedSpan span("incognito.level");
+    // Phase A: the level's children in first-encounter order. Each is
+    // either a fold candidate or implied non-anonymous.
+    std::vector<size_t> candidates;
+    uint64_t implied = 0;
+    for (size_t node : level) {
       for (size_t i = 0; i < d; ++i) {
-        if (node[i] >= taxonomies[i]->height()) continue;
-        std::vector<int> child = node;
-        child[i]++;
-        if (anon_memo.count(child) || unknown_index.count(child)) continue;
-        unknown_index.emplace(child, unknown.size());
-        unknown.push_back(std::move(child));
+        if (depth_of(node, i) + 1 == radix[i]) continue;
+        const size_t child = node + stride[i];
+        if (verdict[child] != kUnknown) continue;
+        if (parents_anonymous(child)) {
+          verdict[child] = kPending;
+          candidates.push_back(child);
+        } else {
+          verdict[child] = kNotAnonymous;
+          ++implied;
+        }
       }
     }
 
-    // Phase B: check the batch, fanned out over the pool when one is
-    // given. Results land in per-node slots; the memo itself is only
-    // touched serially.
-    std::vector<char> batch_anon(unknown.size(), 0);
+    // Phase B: fold the candidates, fanned out over the pool when one is
+    // given; each writes only its own verdict slot. The anonymous ones,
+    // in first-encounter order, are the next level.
     RETURN_IF_ERROR(ParallelFor(
-        options.pool, IndexRange(0, unknown.size()), /*grain=*/1,
+        options.pool, IndexRange(0, candidates.size()), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
           for (size_t i = begin; i < end; ++i) {
-            batch_anon[i] = check_anonymous(unknown[i]) ? 1 : 0;
+            ASSIGN_OR_RETURN(const bool anonymous,
+                             check_anonymous(candidates[i]));
+            verdict[candidates[i]] = anonymous ? kAnonymous : kNotAnonymous;
           }
           return Status::OK();
         }));
-    for (size_t i = 0; i < unknown.size(); ++i) {
-      anon_memo.emplace(unknown[i], batch_anon[i] != 0);
+    std::vector<size_t> next_level;
+    for (size_t node : candidates) {
+      if (verdict[node] == kAnonymous) next_level.push_back(node);
     }
 
-    // Phase C: the original BFS body, now with every lookup memoized.
-    std::vector<std::vector<int>> next_level;
-    for (const std::vector<int>& node : level) {
+    // Phase C: walk the level; nodes with no anonymous child are minimal.
+    std::vector<size_t> minimal;
+    for (size_t node : level) {
       ++nodes_examined;
       bool has_anonymous_child = false;
       for (size_t i = 0; i < d; ++i) {
-        if (node[i] >= taxonomies[i]->height()) continue;
-        std::vector<int> child = node;
-        child[i]++;
-        if (anon_memo.at(child)) {
+        if (depth_of(node, i) + 1 == radix[i]) continue;
+        if (verdict[node + stride[i]] == kAnonymous) {
           has_anonymous_child = true;
-          if (!visited[child]) {
-            visited[child] = true;
-            next_level.push_back(std::move(child));
-          }
         } else {
           // Non-anonymous child: its entire sub-lattice is cut off here.
           ++children_pruned;
         }
       }
-      if (!has_anonymous_child) {
-        // Minimal k-anonymous node: candidate answer.
-        ++minimal_nodes;
-        GlobalRecoding rec = RecodingAtDepths(qi_attrs, taxonomies, node);
-        double ncp = GlobalNcp(table, rec);
-        if (!found || ncp < best_ncp) {
-          best_ncp = ncp;
-          best = std::move(rec);
-          found = true;
-        }
+      if (!has_anonymous_child) minimal.push_back(node);
+    }
+
+    // Score the minimal nodes in parallel into per-node slots, then pick
+    // serially in level order with a strict `<`, so the first of equal
+    // NCPs wins at every thread count.
+    std::vector<double> ncp(minimal.size());
+    RETURN_IF_ERROR(ParallelFor(
+        options.pool, IndexRange(0, minimal.size()), /*grain=*/1,
+        [&](size_t begin, size_t end) -> Status {
+          for (size_t i = begin; i < end; ++i) {
+            ncp[i] = GlobalNcp(table, RecodingAtDepths(qi_attrs, taxonomies,
+                                                       depths_of(minimal[i])));
+          }
+          return Status::OK();
+        }));
+    for (size_t i = 0; i < minimal.size(); ++i) {
+      if (best_node == kNoNode || ncp[i] < best_ncp) {
+        best_ncp = ncp[i];
+        best_node = minimal[i];
       }
     }
+
+    anonymity_checks += candidates.size();
+    checks_implied += implied;
+    minimal_nodes += minimal.size();
+    span.Attr("level", depth_sum)
+        .Attr("candidates", static_cast<uint64_t>(candidates.size()) + implied)
+        .Attr("checked", static_cast<uint64_t>(candidates.size()))
+        .Attr("implied", implied)
+        .Attr("minimal", static_cast<uint64_t>(minimal.size()));
     level = std::move(next_level);
   }
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.GetCounter("incognito.nodes_examined")->Add(nodes_examined);
   metrics.GetCounter("incognito.children_pruned")->Add(children_pruned);
   metrics.GetCounter("incognito.minimal_nodes")->Add(minimal_nodes);
+  metrics.GetCounter("incognito.anonymity_checks")->Add(anonymity_checks);
+  metrics.GetCounter("incognito.checks_implied")->Add(checks_implied);
   PGPUB_LOG_DEBUG("incognito.done")
       .Field("nodes_examined", nodes_examined)
       .Field("children_pruned", children_pruned)
       .Field("minimal_nodes", minimal_nodes)
+      .Field("anonymity_checks", anonymity_checks)
+      .Field("checks_implied", checks_implied)
       .Field("best_ncp", best_ncp);
-  if (!found) {
+  if (best_node == kNoNode) {
     return Status::Internal(
         "Incognito explored the lattice without finding a minimal "
         "k-anonymous node");
   }
-  return best;
+  return RecodingAtDepths(qi_attrs, taxonomies, depths_of(best_node));
 }
 
 }  // namespace pgpub

@@ -20,9 +20,10 @@ struct IncognitoOptions {
   /// Safety bound on lattice nodes examined; InvalidArgument when the
   /// lattice is larger (use TDS for wide schemas).
   int max_lattice_nodes = 250000;
-  /// Optional worker pool for the per-level k-anonymity checks (nullptr =
-  /// serial). Levels are swept in the same BFS order either way, so the
-  /// chosen node is bit-identical at every thread count.
+  /// Optional worker pool for the per-level k-anonymity checks and NCP
+  /// scoring of minimal nodes (nullptr = serial). Levels are swept in the
+  /// same BFS order either way, so the chosen node is bit-identical at
+  /// every thread count.
   ThreadPool* pool = nullptr;
 
   /// Phase-2 engine selection (DESIGN.md §15). Columnar answers every
@@ -48,9 +49,11 @@ struct IncognitoOptions {
 /// Every QI attribute is generalized to one uniform taxonomy depth; a
 /// lattice node is a vector of depths. Exploits the generalization
 /// monotonicity property (if a node is k-anonymous, so is every more
-/// general node) to explore the lattice top-down, and returns the
-/// k-anonymous node with the lowest NCP among the *minimal* k-anonymous
-/// nodes (those none of whose specializations are k-anonymous).
+/// general node) to explore the lattice top-down — a node is only
+/// checked when all its direct generalizations are k-anonymous — and
+/// returns the k-anonymous node with the lowest NCP among the *minimal*
+/// k-anonymous nodes (those none of whose specializations are
+/// k-anonymous). At most 64 QI attributes (InvalidArgument beyond).
 ///
 /// Suited to few QI attributes with shallow hierarchies; the paper's SAL
 /// pipeline uses TDS instead (both satisfy G1–G3).

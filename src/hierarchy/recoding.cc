@@ -174,7 +174,10 @@ std::vector<int32_t> GlobalRecoding::GenVectorOfRow(const Table& table,
 uint64_t GlobalRecoding::NumCells() const {
   uint64_t cells = 1;
   for (const auto& r : per_attr) {
-    cells *= static_cast<uint64_t>(r.num_gen_values());
+    if (__builtin_mul_overflow(
+            cells, static_cast<uint64_t>(r.num_gen_values()), &cells)) {
+      return UINT64_MAX;
+    }
   }
   return cells;
 }

@@ -97,7 +97,9 @@ struct GlobalRecoding {
   /// Generalized value ids of a row, parallel to qi_attrs.
   std::vector<int32_t> GenVectorOfRow(const Table& table, size_t row) const;
 
-  /// Total number of possible signatures (product of gen counts).
+  /// Total number of possible signatures (product of gen counts),
+  /// saturating at UINT64_MAX when the product does not fit — the case in
+  /// which SignatureOfRow/SignatureOfCodes cannot key every row.
   uint64_t NumCells() const;
 };
 

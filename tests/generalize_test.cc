@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "diversity/ldiversity.h"
@@ -334,6 +337,81 @@ TEST(IncognitoTest, NeverWorseNcpThanFullSuppression) {
       IncognitoSearch(f.table, f.qi, {&f.tax_a, &f.tax_b}, opt)
           .ValueOrDie();
   EXPECT_LE(GlobalNcp(f.table, rec), 1.0);
+}
+
+/// `num_attrs` flat QI attributes of domain `domain`, every code in {0, 1}.
+struct WideTable {
+  Table table;
+  std::vector<int> qi;
+  std::vector<Taxonomy> taxonomies;
+
+  std::vector<const Taxonomy*> TaxonomyPointers() const {
+    std::vector<const Taxonomy*> out;
+    for (const Taxonomy& t : taxonomies) out.push_back(&t);
+    return out;
+  }
+};
+
+WideTable MakeWideTable(int num_attrs, int32_t domain, size_t rows,
+                        uint64_t seed) {
+  Schema schema;
+  std::vector<AttributeDomain> domains;
+  std::vector<std::vector<int32_t>> cols(num_attrs);
+  WideTable out;
+  Rng rng(seed);
+  for (int a = 0; a < num_attrs; ++a) {
+    schema.AddAttribute({"q" + std::to_string(a), AttributeType::kNumeric,
+                         AttributeRole::kQuasiIdentifier});
+    domains.push_back(AttributeDomain::Numeric(0, domain - 1));
+    out.qi.push_back(a);
+    out.taxonomies.push_back(Taxonomy::Flat(domain, "*"));
+    for (size_t r = 0; r < rows; ++r) {
+      cols[a].push_back(static_cast<int32_t>(rng.UniformU64(2)));
+    }
+  }
+  out.table = Table::Create(schema, domains, std::move(cols)).ValueOrDie();
+  return out;
+}
+
+TEST(IncognitoTest, WideDomainsCountExactlyOnColumnarAndRejectOnRowwise) {
+  // 1000^8 cells overflow a u64 cell key once seven attributes are at
+  // full depth. Every node is 2-anonymous (256 code combinations over
+  // 20k rows), so the search reaches the bottom of the lattice.
+  const WideTable wide = MakeWideTable(8, 1000, 20000, 51);
+  IncognitoOptions opt;
+  opt.k = 2;
+  opt.phase2 = columnar::Phase2Impl::kColumnar;
+  const GlobalRecoding rec =
+      IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(), opt)
+          .ValueOrDie();
+  for (const AttributeRecoding& attr : rec.per_attr) {
+    EXPECT_EQ(attr.num_gen_values(), 1000);
+  }
+  std::map<std::vector<int32_t>, int64_t> groups;
+  for (size_t r = 0; r < wide.table.num_rows(); ++r) {
+    ++groups[rec.GenVectorOfRow(wide.table, r)];
+  }
+  EXPECT_EQ(groups.size(), 256u);
+  for (const auto& [gen, count] : groups) EXPECT_GE(count, opt.k);
+
+  opt.phase2 = columnar::Phase2Impl::kRowwise;
+  EXPECT_TRUE(IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(),
+                              opt)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(IncognitoTest, MoreThan64QiAttributesIsInvalidArgument) {
+  const WideTable wide = MakeWideTable(65, 2, 10, 52);
+  IncognitoOptions opt;
+  for (columnar::Phase2Impl impl :
+       {columnar::Phase2Impl::kColumnar, columnar::Phase2Impl::kRowwise}) {
+    opt.phase2 = impl;
+    EXPECT_TRUE(IncognitoSearch(wide.table, wide.qi,
+                                wide.TaxonomyPointers(), opt)
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 // --------------------------------------------------------------- Mondrian

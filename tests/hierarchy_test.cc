@@ -287,6 +287,18 @@ TEST(GlobalRecodingTest, SignatureOfCodesMatchesRow) {
   EXPECT_EQ(g.GenVectorOfRow(t, 1), (std::vector<int32_t>{1, 1}));
 }
 
+TEST(GlobalRecodingTest, NumCellsSaturatesWhenSignaturesCannotFit) {
+  GlobalRecoding g;
+  for (int i = 0; i < 7; ++i) {
+    g.qi_attrs.push_back(i);
+    g.per_attr.push_back(AttributeRecoding::Identity(1000));
+  }
+  EXPECT_EQ(g.NumCells(), UINT64_MAX);  // 1000^7 > 2^64
+  g.qi_attrs.pop_back();
+  g.per_attr.pop_back();
+  EXPECT_EQ(g.NumCells(), uint64_t{1000000000000000000});
+}
+
 // ----------------------------------------------- FromNodes / Audit
 
 namespace {

@@ -256,36 +256,59 @@ std::multiset<std::pair<std::string, std::string>> SpanSet(
 
 TEST_F(GlobalTracerTest, PublishSpanSetIsThreadCountInvariant) {
   HospitalDataset hospital = MakeHospitalDataset().ValueOrDie();
-  auto run = [&](int threads) {
-    tracer().Clear();
-    PgOptions options;
-    options.s = 0.5;
-    options.p = 0.25;
-    options.seed = 2008;
-    options.num_threads = threads;
-    RobustPublisher publisher(options);
-    PublishReport report;
-    auto published = publisher.Publish(hospital.table,
-                                       hospital.TaxonomyPointers(), &report);
-    EXPECT_TRUE(published.ok()) << published.status().ToString();
-    return SpanSet(tracer().TakeSnapshot());
-  };
+  for (PgOptions::Generalizer generalizer :
+       {PgOptions::Generalizer::kTds, PgOptions::Generalizer::kIncognito}) {
+    const bool incognito = generalizer == PgOptions::Generalizer::kIncognito;
+    SCOPED_TRACE(incognito ? "incognito" : "tds");
+    auto run = [&](int threads) {
+      tracer().Clear();
+      PgOptions options;
+      options.s = 0.5;
+      options.p = 0.25;
+      options.seed = 2008;
+      options.num_threads = threads;
+      options.generalizer = generalizer;
+      RobustPublisher publisher(options);
+      PublishReport report;
+      auto published = publisher.Publish(hospital.table,
+                                         hospital.TaxonomyPointers(), &report);
+      EXPECT_TRUE(published.ok()) << published.status().ToString();
+      return tracer().TakeSnapshot();
+    };
 
-  const auto serial = run(1);
-  const auto two = run(2);
-  const auto eight = run(8);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, two);
-  EXPECT_EQ(serial, eight);
-  // The phase spans hang off the attempt span, which hangs off the
-  // robust.publish root.
-  for (const char* phase :
-       {"publish.perturb", "publish.generalize", "publish.sample"}) {
-    EXPECT_GT(serial.count({phase, "robust.attempt"}), 0u)
-        << "phase span " << phase << " not linked under robust.attempt";
+    const std::vector<SpanRecord> serial_spans = run(1);
+    const auto serial = SpanSet(serial_spans);
+    const auto two = SpanSet(run(2));
+    const auto eight = SpanSet(run(8));
+    EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(serial, two);
+    EXPECT_EQ(serial, eight);
+    // The phase spans hang off the attempt span, which hangs off the
+    // robust.publish root.
+    for (const char* phase :
+         {"publish.perturb", "publish.generalize", "publish.sample"}) {
+      EXPECT_GT(serial.count({phase, "robust.attempt"}), 0u)
+          << "phase span " << phase << " not linked under robust.attempt";
+    }
+    EXPECT_GT(serial.count({"robust.attempt", "robust.publish"}), 0u);
+    EXPECT_GT(serial.count({"robust.publish", "<root>"}), 0u);
+    // Incognito emits one span per lattice level under the generalize
+    // phase; TDS emits none.
+    EXPECT_EQ(serial.count({"incognito.level", "publish.generalize"}) > 0,
+              incognito);
+    for (const SpanRecord& span : serial_spans) {
+      if (std::string(span.name) != "incognito.level") continue;
+      std::map<std::string, uint64_t> attrs;
+      for (const auto& [key, value] : span.attributes) {
+        attrs[key] = value.AsUint64().ValueOrDie();
+      }
+      for (const char* key :
+           {"level", "candidates", "checked", "implied", "minimal"}) {
+        EXPECT_EQ(attrs.count(key), 1u) << key;
+      }
+      EXPECT_EQ(attrs["checked"] + attrs["implied"], attrs["candidates"]);
+    }
   }
-  EXPECT_GT(serial.count({"robust.attempt", "robust.publish"}), 0u);
-  EXPECT_GT(serial.count({"robust.publish", "<root>"}), 0u);
 }
 
 // ------------------------------------------------------- Chrome export

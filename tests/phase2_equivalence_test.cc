@@ -11,11 +11,14 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel/thread_pool.h"
 #include "common/random.h"
 #include "core/columnar/arena.h"
 #include "core/columnar/phase2.h"
@@ -347,6 +350,241 @@ TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
           << "k=" << k;
     }
   }
+}
+
+TEST(Phase2EquivalenceTest, LatticeCounterRefinesWideCellSpacesExactly) {
+  // 8 flat attributes of domain 1000 at full depth: a 1000^8 cell key
+  // overflows u64, so the counter labels tuples one attribute at a time.
+  // The oracle groups generalized vectors in an ordered map (the row-wise
+  // ComputeQiGroups cannot key this node at all).
+  Rng rng(91);
+  Schema schema;
+  std::vector<AttributeDomain> domains;
+  std::vector<Taxonomy> taxonomies;
+  std::vector<int> qi_attrs;
+  std::vector<std::vector<int32_t>> columns(8);
+  for (int a = 0; a < 8; ++a) {
+    schema.AddAttribute({"q" + std::to_string(a), AttributeType::kNumeric,
+                         AttributeRole::kQuasiIdentifier});
+    domains.push_back(AttributeDomain::Numeric(0, 999));
+    taxonomies.push_back(Taxonomy::Flat(1000, "*"));
+    qi_attrs.push_back(a);
+    for (int r = 0; r < 3000; ++r) {
+      columns[a].push_back(rng.UniformInt(0, a < 4 ? 1 : 2));
+    }
+  }
+  Table table =
+      Table::Create(schema, domains, std::move(columns)).ValueOrDie();
+  std::vector<const Taxonomy*> tax_ptrs;
+  for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
+  const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
+  const columnar::LatticeCounter counter(&index, tax_ptrs);
+  columnar::ScratchPool pool;
+  for (std::vector<int> depths :
+       {std::vector<int>(8, 1), std::vector<int>{1, 1, 1, 1, 1, 1, 1, 0},
+        std::vector<int>{0, 1, 1, 1, 1, 1, 1, 1}}) {
+    const GlobalRecoding rec = RecodingAtDepths(qi_attrs, tax_ptrs, depths);
+    std::map<std::vector<int32_t>, int64_t> groups;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      ++groups[rec.GenVectorOfRow(table, r)];
+    }
+    int64_t smallest = INT64_MAX;
+    for (const auto& [gen, count] : groups) {
+      smallest = std::min(smallest, count);
+    }
+    for (int64_t k : {int64_t{1}, smallest, smallest + 1}) {
+      columnar::ScratchPool::Lease lease = pool.Acquire();
+      EXPECT_EQ(counter.IsKAnonymousAtDepths(depths, static_cast<int>(k),
+                                             lease.get()),
+                k <= smallest)
+          << "k=" << k;
+    }
+  }
+}
+
+/// What the test-local reference walk found, and how Incognito's a-priori
+/// candidate rule would have classified each child it decided.
+struct ReferenceWalk {
+  std::vector<int> best_depths;
+  uint64_t nodes_examined = 0;
+  uint64_t children_pruned = 0;
+  uint64_t minimal_nodes = 0;
+  uint64_t anonymity_checks = 0;  ///< Children the rule leaves to a fold.
+  uint64_t checks_implied = 0;    ///< Children the rule decides outright.
+  /// Implied non-anonymous children the oracle found anonymous. Must be 0.
+  uint64_t implied_but_anonymous = 0;
+};
+
+/// The Incognito BFS without the candidate rule: every unseen child of a
+/// level is checked through the public LatticeCounter (columnar) or
+/// ComputeQiGroups (row-wise) API, memoized in a map keyed by depths.
+ReferenceWalk ReferenceIncognito(const Table& table,
+                                 const std::vector<int>& qi_attrs,
+                                 const std::vector<const Taxonomy*>& taxonomies,
+                                 int k, Phase2Impl impl) {
+  const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
+  const columnar::LatticeCounter counter(&index, taxonomies);
+  columnar::ScratchPool pool;
+  auto anonymous = [&](const std::vector<int>& depths) {
+    if (impl == Phase2Impl::kColumnar) {
+      columnar::ScratchPool::Lease lease = pool.Acquire();
+      return counter.IsKAnonymousAtDepths(depths, k, lease.get());
+    }
+    return IsKAnonymous(
+        ComputeQiGroups(table, RecodingAtDepths(qi_attrs, taxonomies, depths)),
+        k);
+  };
+
+  ReferenceWalk out;
+  const size_t d = qi_attrs.size();
+  const std::vector<int> root(d, 0);
+  std::map<std::vector<int>, bool> memo = {{root, anonymous(root)}};
+  EXPECT_TRUE(memo.at(root));
+  out.anonymity_checks = 1;
+  std::vector<std::vector<int>> level = {root};
+  std::set<std::vector<int>> visited = {root};
+  double best_ncp = 2.0;
+  while (!level.empty()) {
+    for (const std::vector<int>& node : level) {
+      for (size_t i = 0; i < d; ++i) {
+        if (node[i] >= taxonomies[i]->height()) continue;
+        std::vector<int> child = node;
+        child[i]++;
+        if (memo.count(child)) continue;
+        bool parents_anonymous = true;
+        for (size_t j = 0; j < d; ++j) {
+          if (child[j] == 0) continue;
+          std::vector<int> parent = child;
+          parent[j]--;
+          const auto it = memo.find(parent);
+          if (it == memo.end() || !it->second) parents_anonymous = false;
+        }
+        const bool anon = anonymous(child);
+        memo.emplace(child, anon);
+        if (parents_anonymous) {
+          ++out.anonymity_checks;
+        } else {
+          ++out.checks_implied;
+          if (anon) ++out.implied_but_anonymous;
+        }
+      }
+    }
+    std::vector<std::vector<int>> next_level;
+    for (const std::vector<int>& node : level) {
+      ++out.nodes_examined;
+      bool has_anonymous_child = false;
+      for (size_t i = 0; i < d; ++i) {
+        if (node[i] >= taxonomies[i]->height()) continue;
+        std::vector<int> child = node;
+        child[i]++;
+        if (memo.at(child)) {
+          has_anonymous_child = true;
+          if (visited.insert(child).second) next_level.push_back(child);
+        } else {
+          ++out.children_pruned;
+        }
+      }
+      if (!has_anonymous_child) {
+        ++out.minimal_nodes;
+        const double ncp =
+            GlobalNcp(table, RecodingAtDepths(qi_attrs, taxonomies, node));
+        if (out.best_depths.empty() || ncp < best_ncp) {
+          best_ncp = ncp;
+          out.best_depths = node;
+        }
+      }
+    }
+    level = std::move(next_level);
+  }
+  return out;
+}
+
+TEST(Phase2EquivalenceTest, IncognitoPruningMatchesReferenceWalk) {
+  // Random small tables and k on both engines at 1 and 8 threads: the
+  // pruned search must choose the reference walk's recoding, report its
+  // lattice counters, fold exactly the children the candidate rule keeps,
+  // and every child the rule implies non-anonymous must be non-anonymous.
+  Rng rng(0x1ac0);
+  ThreadPool pool(8);
+  uint64_t total_checks = 0;
+  uint64_t total_implied = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int num_attrs = rng.UniformInt(2, 4);
+    Schema schema;
+    std::vector<AttributeDomain> domains;
+    std::vector<Taxonomy> taxonomies;
+    std::vector<int> qi_attrs;
+    for (int a = 0; a < num_attrs; ++a) {
+      const int32_t domain = rng.UniformInt(2, 12);
+      schema.AddAttribute({"q" + std::to_string(a), AttributeType::kNumeric,
+                           AttributeRole::kQuasiIdentifier});
+      domains.push_back(AttributeDomain::Numeric(0, domain - 1));
+      taxonomies.push_back(rng.UniformInt(0, 2) == 0
+                               ? Taxonomy::Flat(domain, "*")
+                               : Taxonomy::Binary(domain, "*"));
+      qi_attrs.push_back(a);
+    }
+    const int k = rng.UniformInt(2, 10);
+    const int num_rows = rng.UniformInt(k, 400);
+    std::vector<std::vector<int32_t>> columns(num_attrs);
+    for (int a = 0; a < num_attrs; ++a) {
+      // Skew some attributes onto a prefix of their domain so lattices
+      // mix anonymous and non-anonymous regions.
+      const int32_t hi = rng.UniformInt(0, 1) == 0
+                             ? domains[a].size() - 1
+                             : (domains[a].size() - 1) / 2;
+      for (int r = 0; r < num_rows; ++r) {
+        columns[a].push_back(rng.UniformInt(0, hi));
+      }
+    }
+    const Table table =
+        Table::Create(schema, domains, std::move(columns)).ValueOrDie();
+    std::vector<const Taxonomy*> tax_ptrs;
+    for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
+
+    for (Phase2Impl impl : {Phase2Impl::kRowwise, Phase2Impl::kColumnar}) {
+      const ReferenceWalk ref =
+          ReferenceIncognito(table, qi_attrs, tax_ptrs, k, impl);
+      EXPECT_EQ(ref.implied_but_anonymous, 0u)
+          << "trial " << trial << " " << columnar::Phase2ImplName(impl);
+      total_checks += ref.anonymity_checks;
+      total_implied += ref.checks_implied;
+      const std::map<std::string, uint64_t> expected = {
+          {"incognito.nodes_examined", ref.nodes_examined},
+          {"incognito.children_pruned", ref.children_pruned},
+          {"incognito.minimal_nodes", ref.minimal_nodes},
+          {"incognito.anonymity_checks", ref.anonymity_checks},
+          {"incognito.checks_implied", ref.checks_implied}};
+      const GlobalRecoding expected_recoding =
+          RecodingAtDepths(qi_attrs, tax_ptrs, ref.best_depths);
+      for (int threads : {1, 8}) {
+        const std::string label = "trial " + std::to_string(trial) + " " +
+                                  Label(impl, threads) + " k=" +
+                                  std::to_string(k);
+        IncognitoOptions options;
+        options.k = k;
+        options.phase2 = impl;
+        options.pool = threads == 1 ? nullptr : &pool;
+        const std::map<std::string, uint64_t> before = SearchCounters();
+        const GlobalRecoding recoding =
+            IncognitoSearch(table, qi_attrs, tax_ptrs, options).ValueOrDie();
+        std::map<std::string, uint64_t> delta =
+            CounterDelta(before, SearchCounters());
+        for (const auto& [name, value] : expected) {
+          EXPECT_EQ(delta[name], value) << name << " " << label;
+        }
+        ASSERT_EQ(recoding.per_attr.size(), expected_recoding.per_attr.size());
+        for (size_t a = 0; a < recoding.per_attr.size(); ++a) {
+          EXPECT_EQ(recoding.per_attr[a].starts(),
+                    expected_recoding.per_attr[a].starts())
+              << "attr " << a << " " << label;
+        }
+      }
+    }
+  }
+  // The sweep must exercise both sides of the rule.
+  EXPECT_GT(total_checks, 0u);
+  EXPECT_GT(total_implied, 0u);
 }
 
 TEST(Phase2EquivalenceTest, TdsScratchReuseAllocatesNoNewBlocks) {

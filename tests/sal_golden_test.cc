@@ -116,5 +116,21 @@ TEST(SalGoldenTest, ColdPublicationDigestPinned) {
   }
 }
 
+TEST(SalGoldenTest, IncognitoPublicationDigestPinned) {
+  // The paper's operating point (k = 10, p = 0.3, m = 2) with Incognito
+  // as the generalizer on the 20k prefix. Engine and thread count come
+  // from the environment (PGPUB_PHASE2, PGPUB_THREADS), so each leg of a
+  // differential matrix holds its own release to this one digest.
+  CensusDataset sal = GenerateAt(20000);
+  PgOptions options = bench::SalColdPublishOptions(/*threads=*/0);
+  options.generalizer = PgOptions::Generalizer::kIncognito;
+  const PublishedTable release =
+      RobustPublisher(options)
+          .Publish(sal.table, sal.TaxonomyPointers())
+          .ValueOrDie();
+  EXPECT_EQ(bench::Hex(bench::PublicationDigest(release)),
+            "0x26a59d8541419a61");
+}
+
 }  // namespace
 }  // namespace pgpub
