@@ -11,12 +11,7 @@
 ///                      income column (PGPUB_SCALE_N rows, default 100k).
 ///   breach           — BreachScenario trial fan-out (corruption-linking
 ///                      adversary, PGPUB_SCALE_VICTIMS trials, default 200).
-///   publish          — full PG publication end to end, row-wise Phase 2
-///                      (the historical series the committed baseline
-///                      tracks).
-///   publish_columnar — the same publication on the columnar Phase-2
-///                      engine; its serial release must be byte-identical
-///                      to the row-wise one before any timing is reported.
+///   publish          — full PG publication end to end (TDS Phase 2).
 ///
 /// Pool leases are created OUTSIDE the timed regions: spinning up a
 /// thread pool per repetition used to be timed with the work, which
@@ -39,7 +34,6 @@
 #include "attack/scenario.h"
 #include "bench/bench_report.h"
 #include "common/parallel/thread_pool.h"
-#include "core/columnar/phase2.h"
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
 #include "perturb/randomized_response.h"
@@ -200,12 +194,11 @@ int Main() {
     if (!SweepWorkload("breach", reps, run, &rows)) return 1;
   }
 
-  // ---- Workloads 3 and 4: end-to-end publication, both Phase-2 engines.
+  // ---- Workload 3: end-to-end publication.
   {
-    auto publish_flat = [&](columnar::Phase2Impl impl, int threads) {
+    auto publish_flat = [&](int threads) {
       PgOptions opt = options;
       opt.num_threads = threads;
-      opt.phase2_impl = impl;
       PgPublisher pub(opt);
       const PublishedTable table =
           pub.Publish(census.table, census.TaxonomyPointers()).ValueOrDie();
@@ -221,26 +214,7 @@ int Main() {
       }
       return flat;
     };
-    // Cross-engine guard before any timing: the columnar serial release
-    // must equal the row-wise serial release byte for byte.
-    if (publish_flat(columnar::Phase2Impl::kRowwise, 1) !=
-        publish_flat(columnar::Phase2Impl::kColumnar, 1)) {
-      std::fprintf(stderr,
-                   "scaling_threads: columnar publication diverged from "
-                   "row-wise — refusing to report timings for a wrong "
-                   "answer\n");
-      return 1;
-    }
-    auto run_rowwise = [&](int threads) {
-      return publish_flat(columnar::Phase2Impl::kRowwise, threads);
-    };
-    if (!SweepWorkload("publish", reps, run_rowwise, &rows)) return 1;
-    auto run_columnar = [&](int threads) {
-      return publish_flat(columnar::Phase2Impl::kColumnar, threads);
-    };
-    if (!SweepWorkload("publish_columnar", reps, run_columnar, &rows)) {
-      return 1;
-    }
+    if (!SweepWorkload("publish", reps, publish_flat, &rows)) return 1;
   }
 
   for (const SweepRow& row : rows) {

@@ -5,16 +5,12 @@
 namespace pgpub {
 
 double EntropyFromCounts(const std::vector<double>& counts) {
-  return EntropyFromCounts(counts.data(), counts.size());
-}
-
-double EntropyFromCounts(const double* counts, size_t n) {
   double total = 0.0;
-  for (size_t i = 0; i < n; ++i) total += counts[i];
+  for (double c : counts) total += c;
   if (total <= 0.0) return 0.0;
   double h = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (counts[i] > 0.0) h -= XLog2X(counts[i] / total);
+  for (double c : counts) {
+    if (c > 0.0) h -= XLog2X(c / total);
   }
   return h;
 }

@@ -15,11 +15,6 @@ inline double XLog2X(double x) {
 /// Returns 0 for an empty or all-zero vector.
 double EntropyFromCounts(const std::vector<double>& counts);
 
-/// Span form for arena-backed buffers. Bit-identical to the vector
-/// overload on the same values — the columnar Phase-2 engine relies on
-/// that for byte-equality with the row-wise oracle (DESIGN.md §15).
-double EntropyFromCounts(const double* counts, size_t n);
-
 /// Gini impurity 1 - sum(p_i^2) of a count vector.
 double GiniFromCounts(const std::vector<double>& counts);
 

@@ -1,54 +1,10 @@
 #include "core/columnar/arena.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
 
 namespace pgpub::columnar {
-namespace {
-
-// One process-wide counter feeds ScratchArena::TotalBlockAllocations();
-// relaxed ordering suffices — tests only compare before/after deltas.
-std::atomic<uint64_t> g_block_allocations{0};
-
-constexpr size_t kMinBlockBytes = 64 * 1024;
-constexpr size_t kAlign = 16;
-
-}  // namespace
-
-void* ScratchArena::AllocBytes(size_t bytes) {
-  bytes = (bytes + (kAlign - 1)) & ~(kAlign - 1);
-  if (bytes == 0) bytes = kAlign;
-  // Advance past blocks too small for this request; most calls stay in
-  // the current block and take only the bump below.
-  while (block_ < blocks_.size() &&
-         offset_ + bytes > blocks_[block_].size) {
-    ++block_;
-    offset_ = 0;
-  }
-  if (block_ == blocks_.size()) {
-    Block b;
-    b.size = std::max(bytes, kMinBlockBytes);
-    b.data = std::make_unique<std::byte[]>(b.size);
-    blocks_.push_back(std::move(b));
-    g_block_allocations.fetch_add(1, std::memory_order_relaxed);
-    offset_ = 0;
-  }
-  std::byte* out = blocks_[block_].data.get() + offset_;
-  offset_ += bytes;
-  return out;
-}
-
-size_t ScratchArena::bytes_reserved() const {
-  size_t total = 0;
-  for (const Block& b : blocks_) total += b.size;
-  return total;
-}
-
-uint64_t ScratchArena::TotalBlockAllocations() {
-  return g_block_allocations.load(std::memory_order_relaxed);
-}
 
 void DenseGroupCounter::Begin(uint64_t num_cells) {
   if (num_cells > counts_.size()) {
@@ -81,7 +37,6 @@ ScratchPool::Lease ScratchPool::Acquire() {
 
 void ScratchPool::Release(Phase2Scratch* scratch) {
   PGPUB_CHECK(scratch != nullptr);
-  scratch->arena.Reset();
   MutexLock lock(&mu_);
   free_.push_back(scratch);
 }

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -11,69 +10,22 @@
 #include "common/sync/mutex.h"
 
 /// \file
-/// Per-request scratch memory for the columnar Phase-2 engine
-/// (DESIGN.md §15). Candidate evaluation and lattice-node counting run
-/// thousands of times per publication; these structures let every call
-/// after warm-up run with zero heap allocation:
+/// Per-request scratch memory for Incognito's lattice folds
+/// (DESIGN.md §15). Lattice-node counting runs thousands of times per
+/// publication; these structures let every call after warm-up run with
+/// zero heap allocation:
 ///
-///   - ScratchArena: a bump allocator whose Reset() rewinds the cursor
-///     without releasing memory, so blocks are reserved once and reused.
 ///   - DenseGroupCounter: an epoch-marked dense count array — "zeroing"
 ///     between uses is one epoch bump, not an O(cells) memset.
 ///   - ScratchPool: a mutex-guarded free list handing one Phase2Scratch
-///     to each concurrent evaluation; steady state creates nothing.
+///     to each concurrent fold; steady state creates nothing.
 ///
-/// Lifetime rules: arena pointers die at the next Reset(); a Phase2Scratch
-/// is exclusively owned between Acquire() and the lease's destruction;
-/// nothing read out of scratch may outlive the lease. Scratch contents
-/// never influence published bytes — every consumer fully overwrites (or
-/// epoch-guards) what it reads, so which pooled scratch a thread happens
-/// to receive is irrelevant to the output.
+/// Lifetime rules: a Phase2Scratch is exclusively owned between Acquire()
+/// and the lease's destruction; nothing read out of scratch may outlive
+/// the lease. Scratch contents never influence published bytes — every
+/// consumer fully overwrites (or epoch-guards) what it reads, so which
+/// pooled scratch a thread happens to receive is irrelevant to the output.
 namespace pgpub::columnar {
-
-/// \brief Bump allocator over a chain of reusable blocks.
-///
-/// Alloc<T> returns UNINITIALIZED storage — callers must fill it, exactly
-/// as the row-wise code refills its per-group vectors. Only trivially
-/// destructible element types are allowed (nothing is ever destroyed).
-class ScratchArena {
- public:
-  ScratchArena() = default;
-  ScratchArena(const ScratchArena&) = delete;
-  ScratchArena& operator=(const ScratchArena&) = delete;
-
-  template <typename T>
-  T* Alloc(size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena memory is never destroyed");
-    return static_cast<T*>(AllocBytes(n * sizeof(T)));
-  }
-
-  /// Rewinds to empty, keeping every reserved block for reuse.
-  void Reset() {
-    block_ = 0;
-    offset_ = 0;
-  }
-
-  size_t bytes_reserved() const;
-
-  /// Process-wide count of block reservations by all arenas — the
-  /// steady-state-allocation witness: once a workload has warmed up, this
-  /// counter must stop moving (tests/phase2_equivalence_test.cc pins it).
-  static uint64_t TotalBlockAllocations();
-
- private:
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    size_t size = 0;
-  };
-
-  void* AllocBytes(size_t bytes);
-
-  std::vector<Block> blocks_;
-  size_t block_ = 0;   ///< Index of the block currently bumped.
-  size_t offset_ = 0;  ///< Bump cursor within blocks_[block_].
-};
 
 /// \brief Epoch-marked dense group counter: Add() accumulates into a flat
 /// cell array whose stale entries are invalidated by bumping `epoch_`
@@ -111,12 +63,10 @@ class DenseGroupCounter {
   uint32_t epoch_ = 0;
 };
 
-/// Everything one concurrent Phase-2 evaluation needs: an arena for flat
-/// candidate-scoring buffers, a dense counter for lattice cells, and a
-/// hash map reused (clear() keeps its buckets) when a node's cell space
-/// is too large for the dense path.
+/// Everything one concurrent lattice fold needs: a dense counter for
+/// lattice cells, and a hash map reused (clear() keeps its buckets) when a
+/// node's cell space is too large for the dense path.
 struct Phase2Scratch {
-  ScratchArena arena;
   DenseGroupCounter dense;
   std::unordered_map<uint64_t, int64_t> sparse_counts;
 };

@@ -266,14 +266,6 @@ Result<PublishedTable> PgPublisher::Publish(
       TdsOptions tds_options;
       tds_options.k = k;
       tds_options.pool = pool;
-      // Resolve the engine once here so hooks only pay for (and lazily
-      // build) columnar state when it will actually be used.
-      tds_options.phase2 = columnar::ResolvePhase2Impl(options_.phase2_impl);
-      if (hooks != nullptr &&
-          tds_options.phase2 == columnar::Phase2Impl::kColumnar) {
-        tds_options.qi_index = hooks->qi_index();
-        tds_options.scratch = hooks->scratch_pool();
-      }
       // With hooks, `class_labels` must outlive Run() unmoved: StoreRecoding
       // re-reads it through recoding_query to compute the cache key.
       std::vector<int32_t> tds_labels =
@@ -286,9 +278,7 @@ Result<PublishedTable> PgPublisher::Publish(
       IncognitoOptions inc_options;
       inc_options.k = k;
       inc_options.pool = pool;
-      inc_options.phase2 = columnar::ResolvePhase2Impl(options_.phase2_impl);
-      if (hooks != nullptr &&
-          inc_options.phase2 == columnar::Phase2Impl::kColumnar) {
+      if (hooks != nullptr) {
         inc_options.qi_index = hooks->qi_index();
         inc_options.scratch = hooks->scratch_pool();
       }
@@ -297,6 +287,14 @@ Result<PublishedTable> PgPublisher::Publish(
       if (hooks != nullptr) hooks->StoreRecoding(recoding_query, recoding);
     }
 
+    // A QI signature space beyond u64 (e.g. eight 1000-value attributes
+    // at full depth) cannot be grouped; reject it with a typed Status
+    // before grouping, for searched and cache-hit recodings alike.
+    if (recoding.NumCells() == UINT64_MAX) {
+      return Status::InvalidArgument(
+          "recoding's QI signature space overflows u64; generalize "
+          "further or use fewer QI attributes");
+    }
     // Run on cache hits too: a poisoned or collided cache entry must fail
     // closed here, never ship a table violating G2.
     groups = ComputeQiGroups(microdata, recoding);

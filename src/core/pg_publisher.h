@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/columnar/phase2.h"
 #include "core/guarantees.h"
 #include "core/published_table.h"
 #include "hierarchy/taxonomy.h"
@@ -61,13 +60,6 @@ struct PgOptions {
   /// guarantee number are bit-identical for all values — this knob trades
   /// wall-clock only (see DESIGN.md §9).
   int num_threads = 0;
-
-  /// Phase-2 search engine (DESIGN.md §15). kAuto resolves `PGPUB_PHASE2`
-  /// (`rowwise` selects the historical oracle path; default columnar).
-  /// Like num_threads, this knob trades wall-clock only: both engines
-  /// produce byte-identical publications, which is why it stays out of
-  /// the engine's recoding-cache identity.
-  columnar::Phase2Impl phase2_impl = columnar::Phase2Impl::kAuto;
 
   /// The one home of every option-bundle rule (the checks used to be
   /// scattered across pg_publisher.cc, robust_publisher.cc and

@@ -72,12 +72,12 @@ class PublishHooks {
 
   /// Prebuilt columnar QI index over the bound dataset's QI columns
   /// (perturbation never touches those, so one index serves every
-  /// request). Null means "build per publish when needed". Consulted only
-  /// when the resolved Phase-2 engine is columnar; the returned index
-  /// must outlive the publish call.
+  /// request). Null means "build per publish". Consulted by Incognito
+  /// only (TDS scans rows and never asks); the returned index must
+  /// outlive the publish call.
   virtual const columnar::QiIndex* qi_index() { return nullptr; }
 
-  /// Shared scratch pool for columnar Phase-2 evaluation, letting warmed
+  /// Shared scratch pool for Incognito's lattice folds, letting warmed
   /// arenas survive across requests (zero steady-state allocation). Null
   /// means "the search owns a private pool per publish".
   virtual columnar::ScratchPool* scratch_pool() { return nullptr; }

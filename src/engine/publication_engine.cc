@@ -128,13 +128,13 @@ class PublicationEngine::Hooks final : public PublishHooks {
   }
 
   // Cache-key audit: RecodingKey is everything the recoding bytes depend
-  // on — and nothing more. PgOptions::phase2_impl is deliberately NOT
-  // mixed in: the columnar and row-wise Phase-2 engines are byte-identical
-  // for equal queries (pinned by tests/phase2_equivalence_test.cc), so a
-  // recoding computed under one engine is a sound hit for the other.
-  // Defense in depth for a buggy engine stays fail-closed: every hit is
-  // re-checked for k-anonymity in pg_publisher.cc before it ships
-  // (tests/engine_test.cc, CachePoisoningTest and CrossImplSharing).
+  // on — and nothing more: the generalizer, k, and (TDS only) the class
+  // labels. Each generalizer has exactly one Phase-2 engine, and the
+  // thread count never changes a recoding (tests/phase2_equivalence_test.cc),
+  // so no execution knob belongs in the key. Defense in depth for a buggy
+  // entry stays fail-closed: every hit is re-checked for k-anonymity in
+  // pg_publisher.cc before it ships (tests/engine_test.cc,
+  // CachePoisoningTest).
   static RecodingKey KeyOf(const RecodingQuery& query) {
     uint64_t labels_fingerprint = 0;
     if (query.class_labels != nullptr) {

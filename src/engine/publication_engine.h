@@ -203,9 +203,10 @@ class PublicationEngine {
   uint64_t current_deadline_nanos_ = 0;
   LruCache<RecodingKey, GlobalRecoding> recoding_cache_;
   LruCache<RetentionKey, double> retention_cache_;
-  /// Columnar Phase-2 state shared across requests (DESIGN.md §15): the
-  /// QI index is built on first columnar use; the scratch pool keeps
-  /// warmed arenas so steady-state candidate evaluation allocates nothing.
+  /// Incognito's Phase-2 state shared across requests (DESIGN.md §15):
+  /// the QI index is built on the first Incognito publish (a TDS-only
+  /// tenant never builds it); the scratch pool keeps warmed arenas so
+  /// steady-state lattice folds allocate nothing.
   std::unique_ptr<columnar::QiIndex> qi_index_;
   columnar::ScratchPool scratch_pool_;
   std::unique_ptr<Hooks> hooks_;

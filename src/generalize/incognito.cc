@@ -92,51 +92,31 @@ Result<GlobalRecoding> IncognitoSearch(
     return depths;
   };
 
-  // Columnar engine (DESIGN.md §15): build the base frequency set and the
-  // per-(attr, depth) remap tables once; every node check below is then a
-  // fold over distinct tuples instead of a rescan of rows. The verdict
-  // per node is identical to the row-wise groups computation, so the BFS
-  // walk, counters, and chosen node do not depend on the engine.
-  const bool use_columnar = columnar::ResolvePhase2Impl(options.phase2) ==
-                            columnar::Phase2Impl::kColumnar;
+  // Build the base frequency set and the per-(attr, depth) remap tables
+  // once (DESIGN.md §15); every node check below is then a fold over
+  // distinct tuples instead of a rescan of rows.
   std::unique_ptr<columnar::QiIndex> owned_index;
-  const columnar::QiIndex* index = nullptr;
-  std::unique_ptr<columnar::LatticeCounter> counter;
+  const columnar::QiIndex* index = options.qi_index;
+  if (index == nullptr || index->qi_attrs() != qi_attrs) {
+    owned_index = std::make_unique<columnar::QiIndex>(
+        columnar::QiIndex::Build(table, qi_attrs));
+    index = owned_index.get();
+  }
+  const columnar::LatticeCounter counter(index, taxonomies);
   std::unique_ptr<columnar::ScratchPool> owned_scratch;
-  columnar::ScratchPool* scratch = nullptr;
-  if (use_columnar) {
-    index = options.qi_index;
-    if (index == nullptr || index->qi_attrs() != qi_attrs) {
-      owned_index =
-          std::make_unique<columnar::QiIndex>(columnar::QiIndex::Build(
-              table, qi_attrs));
-      index = owned_index.get();
-    }
-    counter = std::make_unique<columnar::LatticeCounter>(index, taxonomies);
-    scratch = options.scratch;
-    if (scratch == nullptr) {
-      owned_scratch = std::make_unique<columnar::ScratchPool>();
-      scratch = owned_scratch.get();
-    }
+  columnar::ScratchPool* scratch = options.scratch;
+  if (scratch == nullptr) {
+    owned_scratch = std::make_unique<columnar::ScratchPool>();
+    scratch = owned_scratch.get();
   }
 
   // The k-anonymity of a node is a pure function of (table, node), so a
   // level's candidates can be checked in parallel and their verdicts
   // recorded afterwards without changing any answer.
-  auto check_anonymous = [&](size_t node) -> Result<bool> {
-    const std::vector<int> depths = depths_of(node);
-    if (use_columnar) {
-      columnar::ScratchPool::Lease lease = scratch->Acquire();
-      return counter->IsKAnonymousAtDepths(depths, options.k, lease.get());
-    }
-    GlobalRecoding rec = RecodingAtDepths(qi_attrs, taxonomies, depths);
-    if (rec.NumCells() == UINT64_MAX) {
-      return Status::InvalidArgument(
-          "lattice node's QI signature space overflows u64 on the "
-          "row-wise engine; use the columnar Phase-2 engine");
-    }
-    QiGroups groups = ComputeQiGroups(table, rec);
-    return IsKAnonymous(groups, options.k);
+  auto check_anonymous = [&](size_t node) {
+    columnar::ScratchPool::Lease lease = scratch->Acquire();
+    return counter.IsKAnonymousAtDepths(depths_of(node), options.k,
+                                        lease.get());
   };
 
   enum Verdict : uint8_t { kUnknown, kPending, kAnonymous, kNotAnonymous };
@@ -163,8 +143,7 @@ Result<GlobalRecoding> IncognitoSearch(
   // level L+1, so the FIFO BFS is exactly a level-order sweep, which is
   // how it runs: decide all of a level's children at once, then walk the
   // level in order.
-  ASSIGN_OR_RETURN(const bool root_anonymous, check_anonymous(0));
-  if (!root_anonymous) {
+  if (!check_anonymous(0)) {
     return Status::Internal(
         "fully generalized table is not k-anonymous despite n >= k");
   }
@@ -208,9 +187,8 @@ Result<GlobalRecoding> IncognitoSearch(
         options.pool, IndexRange(0, candidates.size()), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
           for (size_t i = begin; i < end; ++i) {
-            ASSIGN_OR_RETURN(const bool anonymous,
-                             check_anonymous(candidates[i]));
-            verdict[candidates[i]] = anonymous ? kAnonymous : kNotAnonymous;
+            verdict[candidates[i]] =
+                check_anonymous(candidates[i]) ? kAnonymous : kNotAnonymous;
           }
           return Status::OK();
         }));

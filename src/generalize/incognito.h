@@ -5,7 +5,6 @@
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
 #include "core/columnar/arena.h"
-#include "core/columnar/phase2.h"
 #include "core/columnar/qi_index.h"
 #include "generalize/qi_groups.h"
 #include "hierarchy/recoding.h"
@@ -26,20 +25,15 @@ struct IncognitoOptions {
   /// every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Phase-2 engine selection (DESIGN.md §15). Columnar answers every
-  /// lattice node's k-anonymity check by folding the base frequency set
-  /// (distinct raw QI tuples + counts) through per-(attr, depth) code
-  /// remaps into a radix group counter, instead of rescanning rows into a
-  /// hash map. The boolean verdict per node — and therefore the walk,
-  /// the counters, and the chosen recoding — is identical to row-wise.
-  columnar::Phase2Impl phase2 = columnar::Phase2Impl::kAuto;
-
   /// Optional prebuilt QI index over (table, qi_attrs), typically shared
-  /// by a PublicationEngine. Null = build one per search (columnar only).
+  /// by a PublicationEngine. Null = build one per search. Every lattice
+  /// node's k-anonymity check folds this base frequency set (distinct raw
+  /// QI tuples + counts) through per-(attr, depth) code remaps into a
+  /// radix group counter (DESIGN.md §15) instead of rescanning rows.
   const columnar::QiIndex* qi_index = nullptr;
 
   /// Optional shared scratch pool for the per-check counters. Null = the
-  /// search owns a private pool (columnar only).
+  /// search owns a private pool.
   columnar::ScratchPool* scratch = nullptr;
 };
 

@@ -57,7 +57,7 @@ double CombinedScore(double debiased_gain_per_row, double ss_reduction,
 int64_t TopDownSpecializer::GlobalMinGroupSize() const {
   int64_t m = std::numeric_limits<int64_t>::max();
   for (const Group& g : groups_) {
-    if (g.alive) m = std::min<int64_t>(m, g.weight);
+    if (g.alive) m = std::min<int64_t>(m, g.size());
   }
   return m == std::numeric_limits<int64_t>::max() ? 0 : m;
 }
@@ -96,10 +96,6 @@ std::vector<Interval> TopDownSpecializer::ChildIntervals(
 }
 
 void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
-  if (columnar_) {
-    EvaluateColumnar(attr_idx, lo, cand);
-    return;
-  }
   cand->dirty = false;
   cand->valid = false;
   cand->taxonomy_node = -1;
@@ -116,7 +112,7 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
   cand->max_affected_group = 0;
   for (int32_t gid : gids) {
     cand->max_affected_group =
-        std::max<int64_t>(cand->max_affected_group, groups_[gid].weight);
+        std::max<int64_t>(cand->max_affected_group, groups_[gid].size());
   }
 
   const int attr = qi_attrs_[attr_idx];
@@ -200,8 +196,8 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
                               EntropyFromCounts(child_class[ci]);
       }
       if (!valid) break;
-      const double n_g = static_cast<double>(g.weight);
-      affected_rows += g.weight;
+      const double n_g = static_cast<double>(g.size());
+      affected_rows += g.size();
       affected_ss += n_g * n_g;
       ss_reduction += n_g * n_g - child_sq;
       gain += n_g * EntropyFromCounts(parent_class) - child_entropy_rows;
@@ -271,8 +267,8 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
                   table_.value(r, cons_attr)]++;
       }
     }
-    const double n_g = static_cast<double>(g.weight);
-    dyn_affected_rows += g.weight;
+    const double n_g = static_cast<double>(g.size());
+    dyn_affected_rows += g.size();
     dyn_affected_ss += n_g * n_g;
     // Sweep cuts left to right, maintaining left-side accumulators.
     std::fill(left_class.begin(), left_class.end(), 0.0);
@@ -299,7 +295,7 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
         }
       }
       if (!cut_valid[cut]) continue;
-      const int64_t right_count = g.weight - left_count;
+      const int64_t right_count = g.size() - left_count;
       const bool left_ok = left_count == 0 || left_count >= options_.k;
       const bool right_ok = right_count == 0 || right_count >= options_.k;
       if (!left_ok || !right_ok) {
@@ -372,244 +368,6 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
   }
 }
 
-// Mirror of Evaluate over the weighted view (distinct (QI tuple, class)
-// rows with multiplicities). Every accumulator below is a sum of integer-
-// valued doubles < 2^53, so adding a weight w once equals adding 1.0 w
-// times exactly, group terms are combined in the same order, and the
-// entropy/score arithmetic is shared — the computed Candidate is
-// bit-identical to the row-wise one (DESIGN.md §15). All per-candidate
-// buffers come from a pooled scratch arena: zero steady-state allocation.
-void TopDownSpecializer::EvaluateColumnar(int attr_idx, int32_t lo,
-                                          Candidate* cand) {
-  cand->dirty = false;
-  cand->valid = false;
-  cand->taxonomy_node = -1;
-  cand->cut = -1;
-
-  const AttributeRecoding& rec = recodings_[attr_idx];
-  const int32_t gen = rec.GenOf(lo);
-  const Interval s = rec.GenInterval(gen);
-  PGPUB_CHECK_EQ(s.lo, lo);
-  if (s.IsSingleton()) return;  // nothing to specialize
-
-  const std::vector<int32_t>& gids = GroupsOfSegment(attr_idx, lo);
-  if (gids.empty()) return;  // segment carries no rows; splitting is moot
-  cand->max_affected_group = 0;
-  for (int32_t gid : gids) {
-    cand->max_affected_group =
-        std::max<int64_t>(cand->max_affected_group, groups_[gid].weight);
-  }
-
-  const std::vector<int32_t>& codes = wcodes_[attr_idx];
-  const Taxonomy* tax = taxonomies_[attr_idx];
-  const int64_t global_min = global_min_cache_;
-  const size_t nc = static_cast<size_t>(num_classes_);
-
-  columnar::ScratchPool::Lease lease = scratch_->Acquire();
-  columnar::ScratchArena& arena = lease->arena;
-
-  if (tax != nullptr) {
-    const int node_id = tax->FindNode(s);
-    PGPUB_CHECK_GE(node_id, 0)
-        << "segment does not match a taxonomy node on attribute "
-        << table_.schema().attribute(qi_attrs_[attr_idx]).name;
-    const TaxonomyNode& node = tax->node(node_id);
-    PGPUB_CHECK(!node.children.empty());
-    const size_t n_children = node.children.size();
-
-    // Map code offset -> child rank within this node.
-    int32_t* code_to_child = arena.Alloc<int32_t>(s.width());
-    for (size_t ci = 0; ci < n_children; ++ci) {
-      const Interval cr = tax->node(node.children[ci]).range;
-      for (int32_t c = cr.lo; c <= cr.hi; ++c) {
-        code_to_child[c - s.lo] = static_cast<int32_t>(ci);
-      }
-    }
-
-    double gain = 0.0;
-    double bias = 0.0;
-    double ss_reduction = 0.0;
-    double affected_ss = 0.0;
-    int64_t affected_rows = 0;
-    int64_t min_new = std::numeric_limits<int64_t>::max();
-    bool valid = true;
-    double* parent_class = arena.Alloc<double>(nc);
-    double* child_class = arena.Alloc<double>(n_children * nc);
-    int64_t* child_count = arena.Alloc<int64_t>(n_children);
-
-    for (int32_t gid : gids) {
-      const Group& g = groups_[gid];
-      std::fill(parent_class, parent_class + nc, 0.0);
-      std::fill(child_count, child_count + n_children, int64_t{0});
-      std::fill(child_class, child_class + n_children * nc, 0.0);
-
-      for (uint32_t w : g.rows) {
-        const auto child =
-            static_cast<size_t>(code_to_child[codes[w] - s.lo]);
-        const int32_t cls = wclass_[w];
-        const double dw = static_cast<double>(wweight_[w]);
-        parent_class[cls] += dw;
-        child_class[child * nc + cls] += dw;
-        child_count[child] += wweight_[w];
-      }
-
-      double child_entropy_rows = 0.0;
-      double child_sq = 0.0;
-      int nonempty_children = 0;
-      for (size_t ci = 0; ci < n_children; ++ci) {
-        if (child_count[ci] == 0) continue;
-        ++nonempty_children;
-        if (child_count[ci] < options_.k) {
-          valid = false;
-          break;
-        }
-        min_new = std::min<int64_t>(min_new, child_count[ci]);
-        child_sq += static_cast<double>(child_count[ci]) *
-                    static_cast<double>(child_count[ci]);
-        child_entropy_rows += static_cast<double>(child_count[ci]) *
-                              EntropyFromCounts(child_class + ci * nc, nc);
-      }
-      if (!valid) break;
-      const double n_g = static_cast<double>(g.weight);
-      affected_rows += g.weight;
-      affected_ss += n_g * n_g;
-      ss_reduction += n_g * n_g - child_sq;
-      gain += n_g * EntropyFromCounts(parent_class, nc) - child_entropy_rows;
-      bias += (nonempty_children - 1) * (num_classes_ - 1) /
-              (2.0 * std::log(2.0));
-    }
-    if (!valid) return;
-
-    cand->valid = true;
-    cand->taxonomy_node = node_id;
-    cand->gain = gain;
-    cand->min_new_size = min_new;
-    cand->ss_reduction = ss_reduction;
-    cand->gain_per_row =
-        affected_rows > 0
-            ? (gain - 3.0 * bias) / static_cast<double>(affected_rows)
-            : 0.0;
-    if (options_.balance_aware) {
-      cand->score =
-          CombinedScore(cand->gain_per_row, ss_reduction, affected_ss);
-    } else {
-      const int64_t loss = std::max<int64_t>(0, global_min - min_new);
-      cand->score = gain / static_cast<double>(loss + 1);
-    }
-    return;
-  }
-
-  // Dynamic binary split over the weighted view.
-  const int32_t width = s.width();
-  const size_t n_cuts = static_cast<size_t>(width) - 1;
-  double* cut_gain = arena.Alloc<double>(n_cuts);
-  double* cut_ss = arena.Alloc<double>(n_cuts);
-  double* cut_bias = arena.Alloc<double>(n_cuts);
-  char* cut_valid = arena.Alloc<char>(n_cuts);
-  int64_t* cut_min = arena.Alloc<int64_t>(n_cuts);
-  std::fill(cut_gain, cut_gain + n_cuts, 0.0);
-  std::fill(cut_ss, cut_ss + n_cuts, 0.0);
-  std::fill(cut_bias, cut_bias + n_cuts, 0.0);
-  std::fill(cut_valid, cut_valid + n_cuts, char{1});
-  std::fill(cut_min, cut_min + n_cuts, std::numeric_limits<int64_t>::max());
-  int64_t dyn_affected_rows = 0;
-  double dyn_affected_ss = 0.0;
-
-  double* code_class = arena.Alloc<double>(static_cast<size_t>(width) * nc);
-  int64_t* code_count = arena.Alloc<int64_t>(width);
-  double* left_class = arena.Alloc<double>(nc);
-  double* right_class = arena.Alloc<double>(nc);
-  double* parent_class = arena.Alloc<double>(nc);
-
-  for (int32_t gid : gids) {
-    const Group& g = groups_[gid];
-    std::fill(code_class, code_class + static_cast<size_t>(width) * nc, 0.0);
-    std::fill(code_count, code_count + width, int64_t{0});
-    for (uint32_t w : g.rows) {
-      const int32_t off = codes[w] - s.lo;
-      code_class[static_cast<size_t>(off) * nc + wclass_[w]] +=
-          static_cast<double>(wweight_[w]);
-      code_count[off] += wweight_[w];
-    }
-    const double n_g = static_cast<double>(g.weight);
-    dyn_affected_rows += g.weight;
-    dyn_affected_ss += n_g * n_g;
-    // Sweep cuts left to right, maintaining left-side accumulators.
-    std::fill(left_class, left_class + nc, 0.0);
-    int64_t left_count = 0;
-    std::fill(parent_class, parent_class + nc, 0.0);
-    for (int32_t off = 0; off < width; ++off) {
-      for (size_t c = 0; c < nc; ++c) {
-        parent_class[c] += code_class[static_cast<size_t>(off) * nc + c];
-      }
-    }
-    const double parent_term = n_g * EntropyFromCounts(parent_class, nc);
-
-    for (size_t cut = 0; cut < n_cuts; ++cut) {
-      const int32_t off = static_cast<int32_t>(cut);
-      left_count += code_count[off];
-      for (size_t c = 0; c < nc; ++c) {
-        left_class[c] += code_class[static_cast<size_t>(off) * nc + c];
-      }
-      if (!cut_valid[cut]) continue;
-      const int64_t right_count = g.weight - left_count;
-      const bool left_ok = left_count == 0 || left_count >= options_.k;
-      const bool right_ok = right_count == 0 || right_count >= options_.k;
-      if (!left_ok || !right_ok) {
-        cut_valid[cut] = 0;
-        continue;
-      }
-      for (size_t c = 0; c < nc; ++c) {
-        right_class[c] = parent_class[c] - left_class[c];
-      }
-      const double left_term =
-          static_cast<double>(left_count) * EntropyFromCounts(left_class, nc);
-      const double right_term = static_cast<double>(right_count) *
-                                EntropyFromCounts(right_class, nc);
-      cut_gain[cut] += parent_term - left_term - right_term;
-      cut_ss[cut] += n_g * n_g -
-                     static_cast<double>(left_count) * left_count -
-                     static_cast<double>(right_count) * right_count;
-      if (left_count > 0 && right_count > 0) {
-        cut_bias[cut] += (num_classes_ - 1) / (2.0 * std::log(2.0));
-      }
-      if (left_count > 0) cut_min[cut] = std::min(cut_min[cut], left_count);
-      if (right_count > 0) cut_min[cut] = std::min(cut_min[cut], right_count);
-    }
-  }
-
-  // Pick the best valid cut. cut index `c` puts codes [s.lo, s.lo+c] left.
-  double best_score = -1.0;
-  for (size_t cut = 0; cut < n_cuts; ++cut) {
-    if (!cut_valid[cut]) continue;
-    const double dbg = (cut_gain[cut] - 3.0 * cut_bias[cut]) /
-                       std::max<double>(1.0, static_cast<double>(
-                                                 dyn_affected_rows));
-    const double score =
-        options_.balance_aware
-            ? CombinedScore(dbg, cut_ss[cut], dyn_affected_ss)
-            : cut_gain[cut] /
-                  static_cast<double>(
-                      std::max<int64_t>(0, global_min - cut_min[cut]) + 1);
-    if (score > best_score) {
-      best_score = score;
-      cand->valid = true;
-      cand->cut = s.lo + static_cast<int32_t>(cut) + 1;
-      cand->gain = cut_gain[cut];
-      cand->min_new_size = cut_min[cut];
-      cand->ss_reduction = cut_ss[cut];
-      cand->gain_per_row =
-          dyn_affected_rows > 0
-              ? (cut_gain[cut] - 3.0 * cut_bias[cut]) /
-                    static_cast<double>(dyn_affected_rows)
-              : 0.0;
-      cand->score = CombinedScore(cand->gain_per_row, cut_ss[cut],
-                                  dyn_affected_ss);
-      best_score = std::max(best_score, cand->score);
-    }
-  }
-}
-
 void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
                                const Candidate& cand) {
   const AttributeRecoding& rec = recodings_[attr_idx];
@@ -633,6 +391,7 @@ void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
   // Copy the id list: the map entry is erased next.
   const std::vector<int32_t> affected = GroupsOfSegment(attr_idx, lo);
   segment_groups_[attr_idx].erase(lo);
+  const int attr = qi_attrs_[attr_idx];
 
   for (int32_t gid : affected) {
     // Detach the old group's state before growing groups_ — push_back may
@@ -641,17 +400,15 @@ void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
     const std::vector<uint32_t> old_rows = std::move(groups_[gid].rows);
     const std::vector<int32_t> old_seg = groups_[gid].seg_lo;
 
-    // Bucket rows (or weighted rows) by child.
+    // Bucket rows by child.
     std::vector<std::vector<uint32_t>> buckets(children.size());
     for (uint32_t r : old_rows) {
-      buckets[code_to_child[QiCodeOf(r, attr_idx) - s.lo]].push_back(r);
+      buckets[code_to_child[table_.value(r, attr) - s.lo]].push_back(r);
     }
     for (size_t ci = 0; ci < children.size(); ++ci) {
       if (buckets[ci].empty()) continue;
       Group ng;
       ng.rows = std::move(buckets[ci]);
-      ng.weight = 0;
-      for (uint32_t r : ng.rows) ng.weight += ItemWeight(r);
       ng.seg_lo = old_seg;
       ng.seg_lo[attr_idx] = children[ci].lo;
       const int32_t new_gid = static_cast<int32_t>(groups_.size());
@@ -700,22 +457,6 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
     }
   }
 
-  // Engine selection (DESIGN.md §15): a constraint needs raw sensitive
-  // values the weighted view does not carry, so it pins the oracle path.
-  columnar_ = columnar::ResolvePhase2Impl(options_.phase2) ==
-                  columnar::Phase2Impl::kColumnar &&
-              options_.constraint == nullptr;
-  if (columnar_) {
-    BuildWeightedView();
-    scratch_ = options_.scratch;
-    if (scratch_ == nullptr) {
-      if (owned_scratch_ == nullptr) {
-        owned_scratch_ = std::make_unique<columnar::ScratchPool>();
-      }
-      scratch_ = owned_scratch_.get();
-    }
-  }
-
   // Reset state.
   num_specializations_ = 0;
   groups_.clear();
@@ -727,12 +468,8 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
   }
 
   Group root;
-  const size_t n_items = columnar_ ? wweight_.size() : n;
-  root.rows.resize(n_items);
-  for (size_t r = 0; r < n_items; ++r) {
-    root.rows[r] = static_cast<uint32_t>(r);
-  }
-  root.weight = static_cast<int64_t>(n);
+  root.rows.resize(n);
+  for (size_t r = 0; r < n; ++r) root.rows[r] = static_cast<uint32_t>(r);
   root.seg_lo.assign(qi_attrs_.size(), 0);
   groups_.push_back(std::move(root));
   for (size_t j = 0; j < qi_attrs_.size(); ++j) {
@@ -809,55 +546,10 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
       .Field("specializations", num_specializations_)
       .Field("groups", groups_.size());
 
-  // The weighted view lives only for the search.
-  wcodes_.clear();
-  wclass_.clear();
-  wweight_.clear();
-
   GlobalRecoding out;
   out.qi_attrs = qi_attrs_;
   out.per_attr = recodings_;
   return out;
-}
-
-void TopDownSpecializer::BuildWeightedView() {
-  const size_t n = table_.num_rows();
-  const size_t d = qi_attrs_.size();
-  const columnar::QiIndex* index = options_.qi_index;
-  columnar::QiIndex local;
-  if (index == nullptr || index->qi_attrs() != qi_attrs_) {
-    local = columnar::QiIndex::Build(table_, qi_attrs_);
-    index = &local;
-  }
-  // Refine the base frequency set by class label: a weighted row is a
-  // distinct (QI tuple, class) pair, id'd in first-encounter row order.
-  // The order is irrelevant to the output — all consumers reduce the view
-  // with order-free integer sums — it just keeps the build deterministic.
-  wcodes_.assign(d, {});
-  wclass_.clear();
-  wweight_.clear();
-  const std::vector<int32_t>& row_to_tuple = index->row_to_tuple();
-  std::unordered_map<uint64_t, uint32_t> ids;
-  ids.reserve(index->num_tuples());
-  for (size_t r = 0; r < n; ++r) {
-    const uint64_t key =
-        static_cast<uint64_t>(row_to_tuple[r]) *
-            static_cast<uint64_t>(num_classes_) +
-        static_cast<uint64_t>(class_labels_[r]);
-    auto [it, inserted] =
-        ids.emplace(key, static_cast<uint32_t>(wclass_.size()));
-    if (inserted) {
-      for (size_t a = 0; a < d; ++a) {
-        wcodes_[a].push_back(index->codes(a)[row_to_tuple[r]]);
-      }
-      wclass_.push_back(class_labels_[r]);
-      wweight_.push_back(0);
-    }
-    wweight_[it->second]++;
-  }
-  PGPUB_LOG_DEBUG("tds.weighted_view")
-      .Field("rows", n)
-      .Field("weighted_rows", wclass_.size());
 }
 
 }  // namespace pgpub

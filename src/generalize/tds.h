@@ -2,13 +2,11 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
-#include "core/columnar/arena.h"
-#include "core/columnar/phase2.h"
 #include "core/columnar/qi_index.h"
 #include "generalize/qi_groups.h"
 #include "hierarchy/recoding.h"
@@ -49,24 +47,10 @@ struct TdsOptions {
   /// bit-identical at every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Phase-2 engine selection (DESIGN.md §15). Columnar collapses the
-  /// table to distinct (QI tuple, class label) weighted rows and scores
-  /// candidates over that base frequency set with arena-backed flat
-  /// buffers; every score it computes is bit-identical to the row-wise
-  /// scan, so the chosen recoding — and the published bytes — match the
-  /// oracle exactly. A `constraint` forces the row-wise path (its
-  /// per-group histograms read raw sensitive values the weighted view
-  /// does not carry).
-  columnar::Phase2Impl phase2 = columnar::Phase2Impl::kAuto;
-
-  /// Optional prebuilt QI index over (table, qi_attrs) — typically owned
-  /// by a PublicationEngine and shared across requests. When null the
-  /// specializer builds its own. Ignored on the row-wise path.
+  /// Ignored: TDS scans the table row-wise and needs no QI index
+  /// (DESIGN.md §15). Kept only because perfbench still assigns it;
+  /// slated for removal with the next benchmark change (ROADMAP).
   const columnar::QiIndex* qi_index = nullptr;
-
-  /// Optional shared scratch pool for columnar evaluation. When null the
-  /// specializer owns a private pool. Ignored on the row-wise path.
-  columnar::ScratchPool* scratch = nullptr;
 };
 
 /// \brief Top-Down Specialization (Fung, Wang & Yu, ICDE'05) producing a
@@ -102,14 +86,11 @@ class TopDownSpecializer {
 
  private:
   struct Group {
-    /// Row ids (row-wise engine) or weighted-row ids (columnar engine).
     std::vector<uint32_t> rows;
-    /// Table rows represented: rows.size() row-wise, the summed weights
-    /// of the member weighted rows columnar. All size/score math uses
-    /// this so the two engines compute identical values.
-    int64_t weight = 0;
     std::vector<int32_t> seg_lo;  ///< Per QI attr: start code of its segment.
     bool alive = true;
+
+    int64_t size() const { return static_cast<int64_t>(rows.size()); }
   };
 
   struct Candidate {
@@ -139,13 +120,8 @@ class TopDownSpecializer {
   /// Returns a reference into segment_groups_ valid until the next Apply.
   const std::vector<int32_t>& GroupsOfSegment(int attr_idx, int32_t lo);
 
-  /// (Re)computes a candidate's validity/score. Dispatches to
-  /// EvaluateColumnar when the columnar engine is active.
+  /// (Re)computes a candidate's validity/score.
   void Evaluate(int attr_idx, int32_t lo, Candidate* cand);
-
-  /// Columnar mirror of Evaluate: identical candidate math over the
-  /// weighted view, with all per-candidate buffers arena-backed.
-  void EvaluateColumnar(int attr_idx, int32_t lo, Candidate* cand);
 
   /// Applies a winning candidate; updates recoding, groups, and dirt.
   void Apply(int attr_idx, int32_t lo, const Candidate& cand);
@@ -157,21 +133,6 @@ class TopDownSpecializer {
   bool ConstraintOk(const std::vector<int64_t>& hist) const;
 
   int64_t GlobalMinGroupSize() const;
-
-  /// QI code of group item `item` on QI attribute `attr_idx` — a table
-  /// lookup row-wise, a weighted-view lookup columnar.
-  int32_t QiCodeOf(uint32_t item, int attr_idx) const {
-    return columnar_ ? wcodes_[attr_idx][item]
-                     : table_.value(item, qi_attrs_[attr_idx]);
-  }
-
-  /// Table rows behind group item `item` (1 row-wise).
-  int64_t ItemWeight(uint32_t item) const {
-    return columnar_ ? wweight_[item] : 1;
-  }
-
-  /// Collapses the table to distinct (QI tuple, class) weighted rows.
-  void BuildWeightedView();
 
   const Table& table_;
   std::vector<int> qi_attrs_;
@@ -188,18 +149,6 @@ class TopDownSpecializer {
   std::unordered_map<uint64_t, Candidate> candidates_;
   int64_t global_min_cache_ = 0;
   int num_specializations_ = 0;
-
-  /// Columnar engine state (set up by Run() when the resolved impl is
-  /// columnar and no constraint is present). The weighted view is the
-  /// base frequency set refined by class label: wcodes_[a][w] is the QI
-  /// code of weighted row w on attribute a, wclass_[w] its class label,
-  /// wweight_[w] how many table rows it stands for.
-  bool columnar_ = false;
-  std::vector<std::vector<int32_t>> wcodes_;
-  std::vector<int32_t> wclass_;
-  std::vector<int64_t> wweight_;
-  columnar::ScratchPool* scratch_ = nullptr;
-  std::unique_ptr<columnar::ScratchPool> owned_scratch_;
 };
 
 }  // namespace pgpub

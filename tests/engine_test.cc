@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/columnar/phase2.h"
 #include "core/publish_hooks.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
@@ -342,48 +341,64 @@ TEST(CachePoisoningTest, CollidedRecodingFailsClosed) {
   EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
 }
 
-/// The cache-key audit companion (see KeyOf in publication_engine.cc):
-/// RecodingKey deliberately excludes PgOptions::phase2_impl, because both
-/// Phase-2 engines are byte-identical. A recoding computed by the columnar
-/// engine must therefore be *hit* — and safely served — by a row-wise
-/// request, and the bytes must match a cold row-wise publication. If the
-/// engines ever diverged, this sharing would be cache poisoning; the
-/// differential suite (tests/phase2_equivalence_test.cc) plus the
-/// fail-closed re-check above are what make it sound.
-TEST(CachePoisoningTest, CrossImplSharingIsAHitAndByteIdentical) {
-  CensusDataset census = GenerateCensus(1000, 5).ValueOrDie();
-  auto engine =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
+/// Counts the Phase-2 state the publisher asks its hooks for.
+class CountingHooks : public PublishHooks {
+ public:
+  const columnar::QiIndex* qi_index() override {
+    ++qi_index_calls;
+    return nullptr;
+  }
+  columnar::ScratchPool* scratch_pool() override {
+    ++scratch_pool_calls;
+    return nullptr;
+  }
 
-  PublishRequest request;
-  request.options.k = 6;
-  request.options.p = 0.3;
-  request.options.seed = 42;
+  int qi_index_calls = 0;
+  int scratch_pool_calls = 0;
+};
 
-  // Cold publication under the columnar engine populates the cache.
-  request.options.phase2_impl = columnar::Phase2Impl::kColumnar;
-  PublishReport cold_report;
-  const PublishedTable cold =
-      engine->Publish(request, &cold_report).ValueOrDie();
-  EXPECT_EQ(engine->recoding_cache_stats().hits, 0u);
+TEST(PublishHooksTest, OnlyIncognitoAsksForColumnarState) {
+  // TDS scans rows, so a TDS-only tenant must never make its engine build
+  // a QI index; Incognito folds over it and asks every cold search.
+  CensusDataset census = GenerateCensus(600, 9).ValueOrDie();
+  PgOptions options;
+  options.k = 8;
+  options.p = 0.3;
+  CountingHooks tds_hooks;
+  ASSERT_TRUE(PgPublisher(options)
+                  .Publish(census.table, census.TaxonomyPointers(),
+                           &tds_hooks)
+                  .ok());
+  EXPECT_EQ(tds_hooks.qi_index_calls, 0);
+  EXPECT_EQ(tds_hooks.scratch_pool_calls, 0);
 
-  // The same query under the row-wise engine shares the cached recoding.
-  request.options.phase2_impl = columnar::Phase2Impl::kRowwise;
-  PublishReport warm_report;
-  const PublishedTable warm =
-      engine->Publish(request, &warm_report).ValueOrDie();
-  EXPECT_EQ(engine->recoding_cache_stats().hits, 1u)
-      << "phase2_impl must not partition the recoding cache";
-  EXPECT_EQ(Flatten(cold), Flatten(warm));
-  EXPECT_EQ(NormalizedReportJson(cold_report),
-            NormalizedReportJson(warm_report));
-
-  // And the shared entry serves the row-wise identity: a fresh engine
-  // publishing cold under row-wise produces the same bytes.
-  auto fresh =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-  const PublishedTable rowwise_cold = fresh->Publish(request).ValueOrDie();
-  EXPECT_EQ(Flatten(warm), Flatten(rowwise_cold));
+  const std::vector<int> qi = {CensusColumns::kAge, CensusColumns::kGender,
+                               CensusColumns::kIncome};
+  Schema schema;
+  schema.AddAttribute(
+      {"Age", AttributeType::kNumeric, AttributeRole::kQuasiIdentifier});
+  schema.AddAttribute({"Gender", AttributeType::kCategorical,
+                       AttributeRole::kQuasiIdentifier});
+  schema.AddAttribute(
+      {"Income", AttributeType::kNumeric, AttributeRole::kSensitive});
+  std::vector<AttributeDomain> domains;
+  std::vector<std::vector<int32_t>> cols;
+  for (int a : qi) {
+    domains.push_back(census.table.domain(a));
+    cols.push_back(census.table.column(a));
+  }
+  const Table narrow =
+      Table::Create(schema, domains, std::move(cols)).ValueOrDie();
+  options.generalizer = PgOptions::Generalizer::kIncognito;
+  CountingHooks inc_hooks;
+  ASSERT_TRUE(PgPublisher(options)
+                  .Publish(narrow,
+                           {&census.taxonomies[CensusColumns::kAge],
+                            &census.taxonomies[CensusColumns::kGender]},
+                           &inc_hooks)
+                  .ok());
+  EXPECT_EQ(inc_hooks.qi_index_calls, 1);
+  EXPECT_EQ(inc_hooks.scratch_pool_calls, 1);
 }
 
 // ------------------------------------------------------------ batching

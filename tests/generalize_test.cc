@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/publish_hooks.h"
+#include "core/robust_publisher.h"
 #include "diversity/ldiversity.h"
 #include "generalize/incognito.h"
 #include "generalize/metrics.h"
@@ -373,14 +377,13 @@ WideTable MakeWideTable(int num_attrs, int32_t domain, size_t rows,
   return out;
 }
 
-TEST(IncognitoTest, WideDomainsCountExactlyOnColumnarAndRejectOnRowwise) {
+TEST(IncognitoTest, WideDomainsCountExactly) {
   // 1000^8 cells overflow a u64 cell key once seven attributes are at
   // full depth. Every node is 2-anonymous (256 code combinations over
   // 20k rows), so the search reaches the bottom of the lattice.
   const WideTable wide = MakeWideTable(8, 1000, 20000, 51);
   IncognitoOptions opt;
   opt.k = 2;
-  opt.phase2 = columnar::Phase2Impl::kColumnar;
   const GlobalRecoding rec =
       IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(), opt)
           .ValueOrDie();
@@ -393,25 +396,73 @@ TEST(IncognitoTest, WideDomainsCountExactlyOnColumnarAndRejectOnRowwise) {
   }
   EXPECT_EQ(groups.size(), 256u);
   for (const auto& [gen, count] : groups) EXPECT_GE(count, opt.k);
+  EXPECT_EQ(rec.NumCells(), UINT64_MAX);
+}
 
-  opt.phase2 = columnar::Phase2Impl::kRowwise;
-  EXPECT_TRUE(IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(),
-                              opt)
-                  .status()
-                  .IsInvalidArgument());
+TEST(IncognitoTest, WideDomainPublishIsInvalidArgumentNotAnAbort) {
+  // The search above succeeds, but grouping its recoding would key rows
+  // by a signature that overflows u64. The publisher must reject it with
+  // a typed Status instead of aborting the process.
+  const WideTable wide = MakeWideTable(8, 1000, 20000, 51);
+  Schema schema = wide.table.schema();
+  schema.AddAttribute(
+      {"s", AttributeType::kNumeric, AttributeRole::kSensitive});
+  std::vector<AttributeDomain> domains = wide.table.domains();
+  domains.push_back(AttributeDomain::Numeric(0, 4));
+  std::vector<std::vector<int32_t>> cols;
+  for (int a : wide.qi) cols.push_back(wide.table.column(a));
+  cols.emplace_back();
+  for (size_t r = 0; r < wide.table.num_rows(); ++r) {
+    cols.back().push_back(static_cast<int32_t>(r % 5));
+  }
+  const Table table =
+      Table::Create(schema, domains, std::move(cols)).ValueOrDie();
+
+  PgOptions options;
+  options.k = 2;
+  options.p = 0.3;
+  options.seed = 42;
+  options.generalizer = PgOptions::Generalizer::kIncognito;
+  auto expect_overflow_rejected = [](const Result<PublishedTable>& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find("overflows u64"),
+              std::string::npos)
+        << result.status().ToString();
+  };
+  expect_overflow_rejected(
+      RobustPublisher(options).Publish(table, wide.TaxonomyPointers()));
+
+  // The same recoding served as a cache hit is rejected the same way.
+  class CachedRecodingHooks : public PublishHooks {
+   public:
+    explicit CachedRecodingHooks(GlobalRecoding recoding)
+        : recoding_(std::move(recoding)) {}
+    std::optional<GlobalRecoding> LookupRecoding(
+        const RecodingQuery& query) override {
+      (void)query;
+      return recoding_;
+    }
+
+   private:
+    GlobalRecoding recoding_;
+  };
+  IncognitoOptions search;
+  search.k = 2;
+  CachedRecodingHooks hooks(
+      IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(), search)
+          .ValueOrDie());
+  expect_overflow_rejected(
+      PgPublisher(options).Publish(table, wide.TaxonomyPointers(), &hooks));
 }
 
 TEST(IncognitoTest, MoreThan64QiAttributesIsInvalidArgument) {
   const WideTable wide = MakeWideTable(65, 2, 10, 52);
-  IncognitoOptions opt;
-  for (columnar::Phase2Impl impl :
-       {columnar::Phase2Impl::kColumnar, columnar::Phase2Impl::kRowwise}) {
-    opt.phase2 = impl;
-    EXPECT_TRUE(IncognitoSearch(wide.table, wide.qi,
-                                wide.TaxonomyPointers(), opt)
-                    .status()
-                    .IsInvalidArgument());
-  }
+  EXPECT_TRUE(IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(),
+                              IncognitoOptions{})
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // --------------------------------------------------------------- Mondrian

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/guarantees.h"
 
@@ -15,8 +16,12 @@ PgParams Paper(double p, int k) { return {p, k, kPaperLambda, kPaperUs}; }
 
 // ----------------------------------------------------------- Table III(a)
 
+// GoogleTest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: uninitialised padding bytes would give the
+// cases a different name on every run. A 64-bit k fills the slot an int
+// would leave before the first double.
 struct Table3aRow {
-  int k;
+  std::int64_t k;
   double rho2;  // paper's printed ">= rho2" value
   double delta;
 };
@@ -25,7 +30,7 @@ class Table3a : public ::testing::TestWithParam<Table3aRow> {};
 
 TEST_P(Table3a, ReproducesPaperValues) {
   const Table3aRow row = GetParam();
-  PgParams params = Paper(0.3, row.k);
+  PgParams params = Paper(0.3, static_cast<int>(row.k));
   // The paper prints two decimals; our closed forms must agree within one
   // unit in the last printed digit.
   EXPECT_NEAR(MinRho2(params, kPaperRho1), row.rho2, 0.011)

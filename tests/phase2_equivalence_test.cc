@@ -1,16 +1,15 @@
-/// The differential proof behind DESIGN.md §15: for every dataset ×
-/// generalizer × thread count, the published table, the timing-normalized
+/// The determinism proof behind DESIGN.md §15: each generalizer has one
+/// Phase-2 engine (row-wise TDS, columnar Incognito), and for every
+/// dataset × generalizer the published table, the timing-normalized
 /// PublishReport JSON, and the Phase-2 search counters are byte-identical
-/// whether Phase 2 runs row-wise (the historical oracle) or columnar (the
-/// production default). A seeded property test additionally pins the
-/// columnar LatticeCounter to the naive hash-map verdict on random tables,
-/// and allocation-counter tests pin the zero-steady-state-allocation
-/// contract of the scratch arenas.
+/// serial and on 8 threads. Seeded property tests additionally pin
+/// Incognito's LatticeCounter to the naive ComputeQiGroups verdict on
+/// random tables and its pruned lattice walk to an unpruned reference
+/// walk, and a pool test pins scratch reuse across searches.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <algorithm>
 #include <map>
 #include <set>
@@ -21,7 +20,6 @@
 #include "common/parallel/thread_pool.h"
 #include "common/random.h"
 #include "core/columnar/arena.h"
-#include "core/columnar/phase2.h"
 #include "core/columnar/qi_index.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
@@ -31,7 +29,6 @@
 #include "generalize/incognito.h"
 #include "generalize/metrics.h"
 #include "generalize/qi_groups.h"
-#include "generalize/tds.h"
 #include "hierarchy/taxonomy.h"
 #include "obs/metrics.h"
 #include "table/table.h"
@@ -39,11 +36,9 @@
 namespace pgpub {
 namespace {
 
-using columnar::Phase2Impl;
-
-/// Search-relevant counters: the engines must agree not only on the
-/// published bytes but on how much work the search reported doing (same
-/// specialization count, same lattice walk).
+/// Search-relevant counters: serial and threaded runs must agree not only
+/// on the published bytes but on how much work the search reported doing
+/// (same specialization count, same lattice walk).
 std::map<std::string, uint64_t> SearchCounters() {
   std::map<std::string, uint64_t> out;
   const obs::MetricsRegistry::Snapshot snapshot =
@@ -69,7 +64,7 @@ std::map<std::string, uint64_t> CounterDelta(
   return delta;
 }
 
-/// One full RobustPublisher run under a pinned Phase-2 engine.
+/// One full RobustPublisher run at a pinned thread count.
 struct RunOutput {
   PublishedTable table;
   std::string report_json;  ///< Timing-normalized.
@@ -85,15 +80,11 @@ void NormalizeTimings(PublishReport* report) {
   }
 }
 
-std::string Label(Phase2Impl impl, int threads) {
-  return std::string(columnar::Phase2ImplName(impl)) + "/t" +
-         std::to_string(threads);
-}
+std::string Label(int threads) { return "t" + std::to_string(threads); }
 
 RunOutput PublishWith(const Table& microdata,
                       const std::vector<const Taxonomy*>& taxonomies,
-                      PgOptions options, Phase2Impl impl, int threads) {
-  options.phase2_impl = impl;
+                      PgOptions options, int threads) {
   options.num_threads = threads;
   const std::map<std::string, uint64_t> before = SearchCounters();
   RobustPublisher publisher(options);
@@ -101,7 +92,7 @@ RunOutput PublishWith(const Table& microdata,
   Result<PublishedTable> published =
       publisher.Publish(microdata, taxonomies, &report);
   EXPECT_TRUE(published.ok())
-      << Label(impl, threads) << ": " << published.status().message();
+      << Label(threads) << ": " << published.status().message();
   NormalizeTimings(&report);
   return RunOutput{std::move(*published), PublishReportToJsonString(report),
                    CounterDelta(before, SearchCounters())};
@@ -129,21 +120,14 @@ void ExpectIdenticalRelease(const RunOutput& oracle, const RunOutput& other,
   EXPECT_EQ(oracle.counters, other.counters) << label;
 }
 
-/// The full differential grid: row-wise serial is the oracle; row-wise
-/// threaded and columnar at both thread counts must reproduce it exactly.
-void CheckImplEquivalence(const Table& microdata,
-                          const std::vector<const Taxonomy*>& taxonomies,
-                          const PgOptions& options) {
-  const RunOutput oracle =
-      PublishWith(microdata, taxonomies, options, Phase2Impl::kRowwise, 1);
-  for (Phase2Impl impl : {Phase2Impl::kRowwise, Phase2Impl::kColumnar}) {
-    for (int threads : {1, 8}) {
-      if (impl == Phase2Impl::kRowwise && threads == 1) continue;
-      const RunOutput run =
-          PublishWith(microdata, taxonomies, options, impl, threads);
-      ExpectIdenticalRelease(oracle, run, Label(impl, threads));
-    }
-  }
+/// The determinism grid: the serial run is the oracle; the 8-thread run
+/// must reproduce it exactly.
+void CheckThreadEquivalence(const Table& microdata,
+                            const std::vector<const Taxonomy*>& taxonomies,
+                            const PgOptions& options) {
+  const RunOutput oracle = PublishWith(microdata, taxonomies, options, 1);
+  const RunOutput run = PublishWith(microdata, taxonomies, options, 8);
+  ExpectIdenticalRelease(oracle, run, Label(8));
 }
 
 TEST(Phase2EquivalenceTest, CensusTdsAcrossImplsAndThreadCounts) {
@@ -153,7 +137,7 @@ TEST(Phase2EquivalenceTest, CensusTdsAcrossImplsAndThreadCounts) {
     options.k = 8;
     options.p = 0.3;
     options.seed = seed;
-    CheckImplEquivalence(census.table, census.TaxonomyPointers(), options);
+    CheckThreadEquivalence(census.table, census.TaxonomyPointers(), options);
   }
 }
 
@@ -163,7 +147,7 @@ TEST(Phase2EquivalenceTest, ClinicTdsAcrossImplsAndThreadCounts) {
   options.k = 5;
   options.p = 0.4;
   options.seed = 42;
-  CheckImplEquivalence(clinic.table, clinic.TaxonomyPointers(), options);
+  CheckThreadEquivalence(clinic.table, clinic.TaxonomyPointers(), options);
 }
 
 TEST(Phase2EquivalenceTest, HospitalRunningExampleAcrossImpls) {
@@ -172,7 +156,7 @@ TEST(Phase2EquivalenceTest, HospitalRunningExampleAcrossImpls) {
   options.s = 0.5;
   options.p = 0.25;
   options.seed = 42;
-  CheckImplEquivalence(hospital.table, hospital.TaxonomyPointers(), options);
+  CheckThreadEquivalence(hospital.table, hospital.TaxonomyPointers(), options);
 }
 
 TEST(Phase2EquivalenceTest, CensusIncognitoAcrossImplsAndThreadCounts) {
@@ -204,13 +188,13 @@ TEST(Phase2EquivalenceTest, CensusIncognitoAcrossImplsAndThreadCounts) {
   options.p = 0.3;
   options.seed = 42;
   options.generalizer = PgOptions::Generalizer::kIncognito;
-  CheckImplEquivalence(narrow, taxonomies, options);
+  CheckThreadEquivalence(narrow, taxonomies, options);
 }
 
 TEST(Phase2EquivalenceTest, RandomizedOptionSweep) {
   // Seeded sweep across the option space: random k, p, seed, and class
-  // categories. Columnar must track the oracle on every combination, not
-  // just the hand-picked ones above.
+  // categories. The threaded run must track the serial one on every
+  // combination, not just the hand-picked ones above.
   CensusDataset census = GenerateCensus(1500, 17).ValueOrDie();
   Rng rng(0xd1ff);
   for (int trial = 0; trial < 8; ++trial) {
@@ -219,22 +203,12 @@ TEST(Phase2EquivalenceTest, RandomizedOptionSweep) {
     options.p = 0.1 + 0.8 * rng.UniformDouble();
     options.seed = rng.Next64();
     if (trial % 2 == 1) {
-      // Coarse income classes exercise the class-refined weighted view
-      // (fewer classes -> heavier weighted-row collapsing).
+      // Coarse income classes exercise the class-category labelling.
       options.class_category_starts = {0, 10, 25};
     }
     SCOPED_TRACE("trial " + std::to_string(trial) +
                  " k=" + std::to_string(options.k));
-    const RunOutput oracle = PublishWith(census.table,
-                                         census.TaxonomyPointers(), options,
-                                         Phase2Impl::kRowwise, 1);
-    for (int threads : {1, 8}) {
-      const RunOutput run =
-          PublishWith(census.table, census.TaxonomyPointers(), options,
-                      Phase2Impl::kColumnar, threads);
-      ExpectIdenticalRelease(oracle, run, Label(Phase2Impl::kColumnar,
-                                                threads));
-    }
+    CheckThreadEquivalence(census.table, census.TaxonomyPointers(), options);
   }
 }
 
@@ -416,20 +390,13 @@ struct ReferenceWalk {
 };
 
 /// The Incognito BFS without the candidate rule: every unseen child of a
-/// level is checked through the public LatticeCounter (columnar) or
-/// ComputeQiGroups (row-wise) API, memoized in a map keyed by depths.
+/// level is checked with the naive row-wise ComputeQiGroups, memoized in a
+/// map keyed by depths.
 ReferenceWalk ReferenceIncognito(const Table& table,
                                  const std::vector<int>& qi_attrs,
                                  const std::vector<const Taxonomy*>& taxonomies,
-                                 int k, Phase2Impl impl) {
-  const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
-  const columnar::LatticeCounter counter(&index, taxonomies);
-  columnar::ScratchPool pool;
+                                 int k) {
   auto anonymous = [&](const std::vector<int>& depths) {
-    if (impl == Phase2Impl::kColumnar) {
-      columnar::ScratchPool::Lease lease = pool.Acquire();
-      return counter.IsKAnonymousAtDepths(depths, k, lease.get());
-    }
     return IsKAnonymous(
         ComputeQiGroups(table, RecodingAtDepths(qi_attrs, taxonomies, depths)),
         k);
@@ -500,10 +467,10 @@ ReferenceWalk ReferenceIncognito(const Table& table,
 }
 
 TEST(Phase2EquivalenceTest, IncognitoPruningMatchesReferenceWalk) {
-  // Random small tables and k on both engines at 1 and 8 threads: the
-  // pruned search must choose the reference walk's recoding, report its
-  // lattice counters, fold exactly the children the candidate rule keeps,
-  // and every child the rule implies non-anonymous must be non-anonymous.
+  // Random small tables and k at 1 and 8 threads: the pruned search must
+  // choose the reference walk's recoding, report its lattice counters,
+  // fold exactly the children the candidate rule keeps, and every child
+  // the rule implies non-anonymous must be non-anonymous.
   Rng rng(0x1ac0);
   ThreadPool pool(8);
   uint64_t total_checks = 0;
@@ -542,86 +509,43 @@ TEST(Phase2EquivalenceTest, IncognitoPruningMatchesReferenceWalk) {
     std::vector<const Taxonomy*> tax_ptrs;
     for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
 
-    for (Phase2Impl impl : {Phase2Impl::kRowwise, Phase2Impl::kColumnar}) {
-      const ReferenceWalk ref =
-          ReferenceIncognito(table, qi_attrs, tax_ptrs, k, impl);
-      EXPECT_EQ(ref.implied_but_anonymous, 0u)
-          << "trial " << trial << " " << columnar::Phase2ImplName(impl);
-      total_checks += ref.anonymity_checks;
-      total_implied += ref.checks_implied;
-      const std::map<std::string, uint64_t> expected = {
-          {"incognito.nodes_examined", ref.nodes_examined},
-          {"incognito.children_pruned", ref.children_pruned},
-          {"incognito.minimal_nodes", ref.minimal_nodes},
-          {"incognito.anonymity_checks", ref.anonymity_checks},
-          {"incognito.checks_implied", ref.checks_implied}};
-      const GlobalRecoding expected_recoding =
-          RecodingAtDepths(qi_attrs, tax_ptrs, ref.best_depths);
-      for (int threads : {1, 8}) {
-        const std::string label = "trial " + std::to_string(trial) + " " +
-                                  Label(impl, threads) + " k=" +
-                                  std::to_string(k);
-        IncognitoOptions options;
-        options.k = k;
-        options.phase2 = impl;
-        options.pool = threads == 1 ? nullptr : &pool;
-        const std::map<std::string, uint64_t> before = SearchCounters();
-        const GlobalRecoding recoding =
-            IncognitoSearch(table, qi_attrs, tax_ptrs, options).ValueOrDie();
-        std::map<std::string, uint64_t> delta =
-            CounterDelta(before, SearchCounters());
-        for (const auto& [name, value] : expected) {
-          EXPECT_EQ(delta[name], value) << name << " " << label;
-        }
-        ASSERT_EQ(recoding.per_attr.size(), expected_recoding.per_attr.size());
-        for (size_t a = 0; a < recoding.per_attr.size(); ++a) {
-          EXPECT_EQ(recoding.per_attr[a].starts(),
-                    expected_recoding.per_attr[a].starts())
-              << "attr " << a << " " << label;
-        }
+    const ReferenceWalk ref = ReferenceIncognito(table, qi_attrs, tax_ptrs, k);
+    EXPECT_EQ(ref.implied_but_anonymous, 0u) << "trial " << trial;
+    total_checks += ref.anonymity_checks;
+    total_implied += ref.checks_implied;
+    const std::map<std::string, uint64_t> expected = {
+        {"incognito.nodes_examined", ref.nodes_examined},
+        {"incognito.children_pruned", ref.children_pruned},
+        {"incognito.minimal_nodes", ref.minimal_nodes},
+        {"incognito.anonymity_checks", ref.anonymity_checks},
+        {"incognito.checks_implied", ref.checks_implied}};
+    const GlobalRecoding expected_recoding =
+        RecodingAtDepths(qi_attrs, tax_ptrs, ref.best_depths);
+    for (int threads : {1, 8}) {
+      const std::string label = "trial " + std::to_string(trial) + " " +
+                                Label(threads) + " k=" + std::to_string(k);
+      IncognitoOptions options;
+      options.k = k;
+      options.pool = threads == 1 ? nullptr : &pool;
+      const std::map<std::string, uint64_t> before = SearchCounters();
+      const GlobalRecoding recoding =
+          IncognitoSearch(table, qi_attrs, tax_ptrs, options).ValueOrDie();
+      std::map<std::string, uint64_t> delta =
+          CounterDelta(before, SearchCounters());
+      for (const auto& [name, value] : expected) {
+        EXPECT_EQ(delta[name], value) << name << " " << label;
+      }
+      ASSERT_EQ(recoding.per_attr.size(), expected_recoding.per_attr.size());
+      for (size_t a = 0; a < recoding.per_attr.size(); ++a) {
+        EXPECT_EQ(recoding.per_attr[a].starts(),
+                  expected_recoding.per_attr[a].starts())
+            << "attr " << a << " " << label;
       }
     }
   }
   // The sweep must exercise both sides of the rule.
   EXPECT_GT(total_checks, 0u);
   EXPECT_GT(total_implied, 0u);
-}
-
-TEST(Phase2EquivalenceTest, TdsScratchReuseAllocatesNoNewBlocks) {
-  // The zero-steady-state-allocation contract: with a shared scratch pool,
-  // a second identical search reuses the warmed arena — the process-wide
-  // block-allocation counter must not move.
-  CensusDataset census = GenerateCensus(1000, 19).ValueOrDie();
-  const std::vector<int> qi_attrs = census.table.schema().QiIndices();
-  std::vector<const Taxonomy*> tax_ptrs = census.TaxonomyPointers();
-  const std::vector<int32_t>& labels =
-      census.table.column(CensusColumns::kIncome);
-  const int num_classes = census.table.domain(CensusColumns::kIncome).size();
-
-  columnar::ScratchPool pool;
-  TdsOptions options;
-  options.k = 6;
-  options.phase2 = Phase2Impl::kColumnar;
-  options.scratch = &pool;
-
-  auto run_once = [&]() {
-    TopDownSpecializer tds(census.table, qi_attrs, tax_ptrs, labels,
-                           num_classes, options);
-    GlobalRecoding recoding = tds.Run().ValueOrDie();
-    return recoding;
-  };
-  const GlobalRecoding first = run_once();
-
-  const uint64_t blocks_before = columnar::ScratchArena::TotalBlockAllocations();
-  const uint64_t scratches_before = pool.scratches_created();
-  const GlobalRecoding second = run_once();
-  EXPECT_EQ(columnar::ScratchArena::TotalBlockAllocations(), blocks_before)
-      << "warm TDS search allocated fresh arena blocks";
-  EXPECT_EQ(pool.scratches_created(), scratches_before);
-
-  // And the reused scratch did not corrupt the result.
-  EXPECT_EQ(ComputeQiGroups(census.table, first).num_groups(),
-            ComputeQiGroups(census.table, second).num_groups());
 }
 
 TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
@@ -635,7 +559,6 @@ TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
   columnar::ScratchPool pool;
   IncognitoOptions options;
   options.k = 8;
-  options.phase2 = Phase2Impl::kColumnar;
   options.scratch = &pool;
 
   GlobalRecoding first =
@@ -647,36 +570,6 @@ TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
   EXPECT_EQ(pool.scratches_created(), created_before);
   EXPECT_EQ(ComputeQiGroups(census.table, first).num_groups(),
             ComputeQiGroups(census.table, second).num_groups());
-}
-
-TEST(Phase2EquivalenceTest, EnvSelectorResolvesAutoOnly) {
-  // PGPUB_PHASE2 steers kAuto; explicit requests pass through untouched.
-  const char* saved = std::getenv("PGPUB_PHASE2");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-
-  ::setenv("PGPUB_PHASE2", "rowwise", 1);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kRowwise);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kColumnar),
-            Phase2Impl::kColumnar);
-
-  ::setenv("PGPUB_PHASE2", "columnar", 1);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kColumnar);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kRowwise),
-            Phase2Impl::kRowwise);
-
-  ::setenv("PGPUB_PHASE2", "definitely-not-an-engine", 1);
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kColumnar);
-
-  ::unsetenv("PGPUB_PHASE2");
-  EXPECT_EQ(columnar::ResolvePhase2Impl(Phase2Impl::kAuto),
-            Phase2Impl::kColumnar);
-
-  if (saved != nullptr) {
-    ::setenv("PGPUB_PHASE2", saved_value.c_str(), 1);
-  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <map>
 
 #include "bench/sal_digest.h"
-#include "core/columnar/phase2.h"
 #include "core/robust_publisher.h"
 #include "datagen/sal.h"
 
@@ -98,29 +97,19 @@ TEST(SalGoldenTest, ColdPublicationDigestPinned) {
   CensusDataset sal = GenerateAt(rows);
   const std::vector<const Taxonomy*> taxonomies = sal.TaxonomyPointers();
 
-  PgOptions options = bench::SalColdPublishOptions(1);
-  options.phase2_impl = columnar::Phase2Impl::kColumnar;
-  const PublishedTable columnar_release =
-      RobustPublisher(options).Publish(sal.table, taxonomies).ValueOrDie();
-  EXPECT_EQ(bench::Hex(bench::PublicationDigest(columnar_release)),
+  const PublishedTable release =
+      RobustPublisher(bench::SalColdPublishOptions(1))
+          .Publish(sal.table, taxonomies)
+          .ValueOrDie();
+  EXPECT_EQ(bench::Hex(bench::PublicationDigest(release)),
             bench::Hex(pin->second.publication_digest));
-
-  // At smoke scale, also hold the row-wise oracle to the same pin (the
-  // full-scale oracle leg lives in bench/sal_full, PGPUB_SAL_ORACLE=1).
-  if (rows <= 100000) {
-    options.phase2_impl = columnar::Phase2Impl::kRowwise;
-    const PublishedTable rowwise_release =
-        RobustPublisher(options).Publish(sal.table, taxonomies).ValueOrDie();
-    EXPECT_EQ(bench::Hex(bench::PublicationDigest(rowwise_release)),
-              bench::Hex(pin->second.publication_digest));
-  }
 }
 
 TEST(SalGoldenTest, IncognitoPublicationDigestPinned) {
   // The paper's operating point (k = 10, p = 0.3, m = 2) with Incognito
-  // as the generalizer on the 20k prefix. Engine and thread count come
-  // from the environment (PGPUB_PHASE2, PGPUB_THREADS), so each leg of a
-  // differential matrix holds its own release to this one digest.
+  // as the generalizer on the 20k prefix. The thread count comes from the
+  // environment (PGPUB_THREADS), so each leg of the CI thread matrix holds
+  // its own release to this one digest.
   CensusDataset sal = GenerateAt(20000);
   PgOptions options = bench::SalColdPublishOptions(/*threads=*/0);
   options.generalizer = PgOptions::Generalizer::kIncognito;
