@@ -14,9 +14,7 @@
 #include "mining/category.h"
 #include "common/parallel/thread_pool.h"
 #include "perturb/randomized_response.h"
-#include "generalize/anatomy.h"
 #include "mining/naive_bayes.h"
-#include "republish/minvariance.h"
 #include "sample/stratified.h"
 
 namespace pgpub {
@@ -254,38 +252,6 @@ void BM_NaiveBayesTraining(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_NaiveBayesTraining)->Unit(benchmark::kMillisecond);
-
-void BM_Anatomize(benchmark::State& state) {
-  const size_t n = 100000;
-  const CensusDataset& census = SharedCensus(n);
-  Rng rng(9);
-  for (auto _ : state) {
-    auto release =
-        Anatomize(census.table, CensusColumns::kIncome, 4, rng).ValueOrDie();
-    benchmark::DoNotOptimize(release);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_Anatomize)->Unit(benchmark::kMillisecond);
-
-void BM_MInvariantRound(benchmark::State& state) {
-  // One re-publication round over a 50k population with 20% churn.
-  Rng rng(10);
-  std::vector<std::pair<int64_t, int32_t>> alive;
-  for (int64_t i = 0; i < 50000; ++i) {
-    alive.push_back({i, static_cast<int32_t>(rng.UniformU64(30))});
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    MInvariantRepublisher republisher(3, 30, 11);
-    state.ResumeTiming();
-    auto release = republisher.PublishNext(alive).ValueOrDie();
-    benchmark::DoNotOptimize(release);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          alive.size());
-}
-BENCHMARK(BM_MInvariantRound)->Unit(benchmark::kMillisecond);
 
 void BM_GuaranteeSolver(benchmark::State& state) {
   for (auto _ : state) {

@@ -55,10 +55,10 @@ Status RequireGen(const AttackContext& context) {
   return Status::OK();
 }
 
-/// One corruption-aided linking trial against a PG release — the exact
-/// draw sequence of the historical MeasurePgBreaches trial body, with the
+/// One corruption-aided linking trial against a PG release, with the
 /// corruption rate and prior kind as parameters so the worst-case
-/// adversary can reuse it.
+/// adversary can reuse it. Its draw sequence is pinned by the seed-42
+/// scenario goldens.
 Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
                                     double corruption_rate,
                                     BreachHarnessOptions::PriorKind kind) {
@@ -118,9 +118,8 @@ Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
   return out;
 }
 
-/// One corruption trial against a conventional generalization — the exact
-/// draw sequence of the historical MeasureGeneralizationBreaches trial
-/// body, parameterized the same way.
+/// One corruption trial against a conventional generalization,
+/// parameterized the same way.
 Result<TrialOutcome> GenTrial(const AttackContext& context, Rng& rng,
                               double corruption_rate,
                               BreachHarnessOptions::PriorKind kind) {

@@ -11,9 +11,8 @@ namespace pgpub {
 /// BreachHarnessOptions::corruption_rate, builds the harness prior
 /// (prior_kind), and runs the corruption-aided linking attack (Equations
 /// 8–19) against PG releases, or the random-worlds posterior against
-/// conventional generalizations. This is the adversary the two legacy
-/// breach entrypoints hard-coded; a trial here is draw-for-draw identical
-/// to theirs.
+/// conventional generalizations. Its trial draws are pinned by the
+/// seed-42 scenario goldens.
 class CorruptionLinkingAdversary : public AdversaryModel {
  public:
   std::string_view name() const override { return "corruption-linking"; }

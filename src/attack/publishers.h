@@ -134,7 +134,7 @@ class BetaLikenessScenarioPublisher : public GeneralizationScenarioPublisher {
 
 /// \brief Adapts an existing PG release (engine output, a legacy caller's
 /// table) as a Publisher: "publishing" copies the table and instantiates
-/// the theorem bounds. Back-end of the deprecated MeasurePgBreaches.
+/// the theorem bounds.
 class FixedPgRelease : public Publisher {
  public:
   /// `published` must outlive the adapter.
@@ -154,8 +154,7 @@ class FixedPgRelease : public Publisher {
 };
 
 /// \brief Adapts an existing conventional grouping as a Publisher (no
-/// bounds claimed). Back-end of the deprecated
-/// MeasureGeneralizationBreaches.
+/// bounds claimed).
 class FixedGeneralizationRelease : public Publisher {
  public:
   /// `groups` must outlive the adapter.

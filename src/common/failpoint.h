@@ -34,7 +34,6 @@ inline constexpr const char* kPublishGeneralizeIncognito =
 inline constexpr const char* kPublishSample = "publish.sample";
 inline constexpr const char* kPublishAssemble = "publish.assemble";
 inline constexpr const char* kPublishAudit = "publish.audit";
-inline constexpr const char* kRepublishNext = "republish.publish_next";
 /// Fires on the serving daemon's admission path (ServerCore::Submit):
 /// the request is rejected with a typed Status before it ever enters the
 /// queue — chaos tests prove an admission fault cannot lose a request
@@ -57,7 +56,7 @@ inline constexpr const char* kAll[] = {
     kPerturbWorker,
     kPublishGeneralizeTds, kPublishGeneralizeIncognito,
     kPublishSample,    kPublishAssemble,
-    kPublishAudit,     kRepublishNext,
+    kPublishAudit,
     kServerAdmit,      kServerQueueCorrupt,
     kEngineCacheRecheck,
 };

@@ -1,10 +1,8 @@
 #include "diversity/ldiversity.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
-#include "common/math_util.h"
 #include "common/string_util.h"
 
 namespace pgpub {
@@ -53,22 +51,6 @@ std::string CLDiversity::name() const {
 double CLDiversity::AssumedPrior(int sensitive_domain_size) const {
   PGPUB_CHECK_GE(sensitive_domain_size, l_ - 1);
   return 1.0 / static_cast<double>(sensitive_domain_size - l_ + 2);
-}
-
-EntropyLDiversity::EntropyLDiversity(double l) : l_(l) {
-  PGPUB_CHECK_GE(l, 1.0);
-}
-
-bool EntropyLDiversity::Satisfied(
-    const std::vector<int64_t>& histogram) const {
-  std::vector<double> counts;
-  counts.reserve(histogram.size());
-  for (int64_t c : histogram) counts.push_back(static_cast<double>(c));
-  return EntropyFromCounts(counts) >= std::log2(l_) - 1e-12;
-}
-
-std::string EntropyLDiversity::name() const {
-  return StrFormat("entropy %.3g-diversity", l_);
 }
 
 int MinDistinctSensitive(const Table& table, const QiGroups& groups,

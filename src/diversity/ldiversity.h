@@ -49,19 +49,6 @@ class CLDiversity : public GroupConstraint {
   int l_;
 };
 
-/// \brief Entropy ℓ-diversity: entropy of the group's sensitive
-/// distribution must be at least log2(ℓ).
-class EntropyLDiversity : public GroupConstraint {
- public:
-  explicit EntropyLDiversity(double l);
-
-  bool Satisfied(const std::vector<int64_t>& histogram) const override;
-  std::string name() const override;
-
- private:
-  double l_;
-};
-
 /// Smallest number of distinct sensitive values in any group — the `u` of
 /// Lemma 1. Returns 0 for an empty grouping.
 int MinDistinctSensitive(const Table& table, const QiGroups& groups,

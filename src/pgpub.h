@@ -14,11 +14,10 @@
 ///     taxonomy and recoding (de)serialization, PublishReport JSON.
 ///   - Attack side: the scenario framework (Publisher × AdversaryModel ×
 ///     dataset via BreachScenario, with rival-guarantee publishers and the
-///     transparent adversary), linking attack, external database, and the
-///     deprecated breach-harness wrappers.
+///     transparent adversary), linking attack and external database.
 ///   - Evaluation: synthetic datasets (census/SAL/hospital/clinic),
-///     decision-tree/naive-Bayes mining, ℓ-diversity baseline,
-///     m-invariance republication, query accuracy.
+///     decision-tree/naive-Bayes mining, ℓ-diversity and β-likeness
+///     baselines.
 ///   - Infrastructure: Status/Result, deterministic Rng, structured
 ///     logging and metrics.
 
@@ -52,7 +51,6 @@
 
 // Attack harness and scenario framework.
 #include "attack/adversaries.h"
-#include "attack/breach_harness.h"
 #include "attack/external_db.h"
 #include "attack/linking_attack.h"
 #include "attack/publishers.h"
@@ -68,4 +66,3 @@
 #include "mining/dataset_io.h"
 #include "mining/evaluate.h"
 #include "mining/naive_bayes.h"
-#include "republish/minvariance.h"

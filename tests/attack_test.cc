@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "attack/linking_attack.h"
 #include "core/pg_publisher.h"
@@ -246,9 +247,12 @@ TEST(LinkingAttackTest, CorruptionRaisesOwnershipProbability) {
 
 // ----------------------------------------------- h <= h_top property sweep
 
+// GoogleTest prints a parameter without a printer as its raw bytes, so
+// the struct must have no padding: a 64-bit k fills the slot an int would
+// leave before `lambda`.
 struct HSweepParam {
   double p;
-  int k;
+  std::int64_t k;
   double lambda;
 };
 
@@ -256,9 +260,10 @@ class HBoundSweep : public ::testing::TestWithParam<HSweepParam> {};
 
 TEST_P(HBoundSweep, OwnershipProbabilityNeverExceedsHTop) {
   const HSweepParam param = GetParam();
+  const int k = static_cast<int>(param.k);
   CensusDataset census = GenerateCensus(4000, 17).ValueOrDie();
   PgOptions options;
-  options.k = param.k;
+  options.k = k;
   options.p = param.p;
   options.seed = 5;
   PgPublisher publisher(options);
@@ -271,7 +276,7 @@ TEST_P(HBoundSweep, OwnershipProbabilityNeverExceedsHTop) {
   LinkingAttack attacker =
       LinkingAttack::Create(&published, &edb).ValueOrDie();
 
-  PgParams bound_params{param.p, param.k, param.lambda, 50};
+  PgParams bound_params{param.p, k, param.lambda, 50};
   const double h_top = HTop(bound_params);
 
   int attacks = 0;

@@ -11,10 +11,8 @@
 namespace pgpub {
 namespace {
 
-// The historical harness entrypoints, restated through the scenario
-// framework: a fixed release + the corruption-linking adversary. Pinned
-// expectations below carry over unchanged because the trial bodies are
-// draw-for-draw identical.
+// A fixed release attacked by the corruption-linking adversary through
+// the scenario framework.
 Result<BreachStats> RunPgScenario(const PublishedTable& published,
                                   const ExternalDatabase& edb,
                                   const Table& microdata,

@@ -19,7 +19,6 @@
 #include "hierarchy/recoding_io.h"
 #include "hierarchy/taxonomy_io.h"
 #include "obs/log.h"
-#include "republish/minvariance.h"
 #include "server/server_core.h"
 #include "server/tenant_registry.h"
 #include "table/csv_io.h"
@@ -229,12 +228,6 @@ class ChaosSweepTest : public FailpointTest {
     }
     if (name == failpoints::kRecodingLoad) {
       return LoadRecoding(rec_path_).status();
-    }
-    if (name == failpoints::kRepublishNext) {
-      MInvariantRepublisher republisher(2, 40, 11);
-      return republisher
-          .PublishNext({{1, 0}, {2, 1}, {3, 2}, {4, 3}})
-          .status();
     }
     if (name == failpoints::kEngineCacheRecheck) {
       // The failpoint sits on the recoding-cache *hit* path, so serve the

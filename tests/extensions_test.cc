@@ -1,19 +1,16 @@
-/// Tests for the extension modules: recoding serialization, the Anatomy
-/// publisher, naive-Bayes mining, downward guarantees wiring, and the TDS
-/// scoring ablation switch.
+/// Tests for the extension modules: recoding serialization, naive-Bayes
+/// mining, downward guarantees wiring, and the TDS scoring ablation
+/// switch.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 
 #include "datagen/census.h"
-#include "generalize/anatomy.h"
 #include "generalize/metrics.h"
 #include "generalize/tds.h"
 #include "hierarchy/recoding_io.h"
-#include "attack/linking_attack.h"
 #include "mining/evaluate.h"
 #include "mining/naive_bayes.h"
 
@@ -80,98 +77,6 @@ TEST(RecodingIoTest, RoundTripFromPublisherOutput) {
   QiGroups b = ComputeQiGroups(census.table, loaded);
   EXPECT_EQ(a.row_to_group, b.row_to_group);
   std::remove(path.c_str());
-}
-
-// ----------------------------------------------------------------- Anatomy
-
-class AnatomyLSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(AnatomyLSweep, GroupsHaveLDistinctValues) {
-  const int l = GetParam();
-  CensusDataset census = GenerateCensus(5000, 62).ValueOrDie();
-  Rng rng(63);
-  AnatomyRelease release =
-      Anatomize(census.table, CensusColumns::kIncome, l, rng).ValueOrDie();
-  // Every row assigned exactly once.
-  std::vector<int> seen(census.table.num_rows(), 0);
-  for (size_t g = 0; g < release.num_groups(); ++g) {
-    std::set<int32_t> values;
-    for (uint32_t r : release.group_rows[g]) {
-      seen[r]++;
-      values.insert(census.table.value(r, CensusColumns::kIncome));
-    }
-    // Distinct l-diversity per group; values within a group are unique.
-    EXPECT_GE(static_cast<int>(values.size()), l);
-    EXPECT_EQ(values.size(), release.group_rows[g].size());
-    EXPECT_EQ(release.DistinctValues(g),
-              static_cast<int>(release.group_stats[g].size()));
-  }
-  for (int s : seen) EXPECT_EQ(s, 1);
-}
-
-INSTANTIATE_TEST_SUITE_P(LValues, AnatomyLSweep,
-                         ::testing::Values(2, 3, 5, 8));
-
-TEST(AnatomyTest, StatsMatchMembers) {
-  CensusDataset census = GenerateCensus(2000, 64).ValueOrDie();
-  Rng rng(65);
-  AnatomyRelease release =
-      Anatomize(census.table, CensusColumns::kIncome, 4, rng).ValueOrDie();
-  for (size_t g = 0; g < release.num_groups(); ++g) {
-    std::set<int32_t> member_values;
-    for (uint32_t r : release.group_rows[g]) {
-      member_values.insert(census.table.value(r, CensusColumns::kIncome));
-    }
-    std::set<int32_t> stat_values;
-    for (const auto& [value, count] : release.group_stats[g]) {
-      EXPECT_EQ(count, 1);
-      stat_values.insert(value);
-    }
-    EXPECT_EQ(member_values, stat_values);
-  }
-}
-
-TEST(AnatomyTest, RejectsIneligibleTables) {
-  // A table where one value holds 80% of the rows is not 2-eligible.
-  Schema schema;
-  schema.AddAttribute(
-      {"q", AttributeType::kNumeric, AttributeRole::kQuasiIdentifier});
-  schema.AddAttribute(
-      {"s", AttributeType::kNumeric, AttributeRole::kSensitive});
-  std::vector<AttributeDomain> domains = {AttributeDomain::Numeric(0, 9),
-                                          AttributeDomain::Numeric(0, 4)};
-  std::vector<std::vector<int32_t>> cols(2);
-  for (int i = 0; i < 10; ++i) {
-    cols[0].push_back(i);
-    cols[1].push_back(i < 8 ? 0 : i - 7);
-  }
-  Table t = Table::Create(schema, domains, std::move(cols)).ValueOrDie();
-  Rng rng(66);
-  EXPECT_TRUE(Anatomize(t, 1, 2, rng).status().IsFailedPrecondition());
-  EXPECT_TRUE(Anatomize(t, 1, 1, rng).status().IsInvalidArgument());
-  EXPECT_TRUE(Anatomize(t, 1, 30, rng).status().IsInvalidArgument());
-}
-
-TEST(AnatomyTest, CollapsesUnderCorruptionLikeGeneralization) {
-  // Lemma 2 applies to Anatomy too: corrupt the other group members and
-  // the victim's exact value is disclosed.
-  CensusDataset census = GenerateCensus(2000, 67).ValueOrDie();
-  Rng rng(68);
-  AnatomyRelease release =
-      Anatomize(census.table, CensusColumns::kIncome, 3, rng).ValueOrDie();
-  const int32_t us = census.table.domain(CensusColumns::kIncome).size();
-  const uint32_t victim = 17;
-  const int32_t gid = release.row_to_group[victim];
-  std::vector<uint32_t> corrupted;
-  for (uint32_t r : release.group_rows[gid]) {
-    if (r != victim) corrupted.push_back(r);
-  }
-  std::vector<double> post = GeneralizationAttackPosterior(
-      census.table, release.group_rows[gid], CensusColumns::kIncome, victim,
-      corrupted, BackgroundKnowledge::Uniform(us).ValueOrDie())
-                                 .ValueOrDie();
-  EXPECT_NEAR(post[census.table.value(victim, CensusColumns::kIncome)], 1.0,
-              1e-12);
 }
 
 // -------------------------------------------------------------- NaiveBayes

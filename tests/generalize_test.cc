@@ -13,7 +13,6 @@
 #include "diversity/ldiversity.h"
 #include "generalize/incognito.h"
 #include "generalize/metrics.h"
-#include "generalize/mondrian.h"
 #include "generalize/qi_groups.h"
 #include "generalize/tds.h"
 
@@ -463,57 +462,6 @@ TEST(IncognitoTest, MoreThan64QiAttributesIsInvalidArgument) {
                               IncognitoOptions{})
                   .status()
                   .IsInvalidArgument());
-}
-
-// --------------------------------------------------------------- Mondrian
-
-class MondrianKSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(MondrianKSweep, StrictPartitionsAreKAnonymous) {
-  const int k = GetParam();
-  Fixture f = MakeFixture(700, 40 + k);
-  MondrianOptions opt;
-  opt.k = k;
-  LocalRecoding rec = MondrianPartition(f.table, f.qi, opt).ValueOrDie();
-  // Every row assigned; every group >= k; boxes cover their rows.
-  std::vector<size_t> sizes(rec.num_groups(), 0);
-  for (size_t r = 0; r < f.table.num_rows(); ++r) {
-    const int32_t gid = rec.row_to_group[r];
-    ASSERT_GE(gid, 0);
-    sizes[gid]++;
-    for (size_t i = 0; i < f.qi.size(); ++i) {
-      EXPECT_TRUE(rec.group_boxes[gid][i].Contains(
-          f.table.value(r, f.qi[i])));
-    }
-  }
-  for (size_t s : sizes) EXPECT_GE(s, static_cast<size_t>(k));
-}
-
-INSTANTIATE_TEST_SUITE_P(KValues, MondrianKSweep,
-                         ::testing::Values(2, 4, 8, 20, 50));
-
-TEST(MondrianTest, FinerThanGlobalRecodingOnUniformData) {
-  Fixture f = MakeFixture(2000, 55);
-  MondrianOptions mopt;
-  mopt.k = 5;
-  LocalRecoding local = MondrianPartition(f.table, f.qi, mopt).ValueOrDie();
-
-  IncognitoOptions iopt;
-  iopt.k = 5;
-  GlobalRecoding global =
-      IncognitoSearch(f.table, f.qi, {&f.tax_a, &f.tax_b}, iopt)
-          .ValueOrDie();
-  // Multidimensional local recoding should discern at least as well.
-  EXPECT_LE(LocalNcp(f.table, local), GlobalNcp(f.table, global) + 1e-9);
-}
-
-TEST(MondrianTest, FewerRowsThanKFails) {
-  Fixture f = MakeFixture(3, 56);
-  MondrianOptions opt;
-  opt.k = 5;
-  EXPECT_TRUE(MondrianPartition(f.table, f.qi, opt)
-                  .status()
-                  .IsFailedPrecondition());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 /// Scenario-framework tests: option validation, thread-count determinism,
 /// per-cell stream isolation, the pinned seed-42 census golden, the
-/// transparent-vs-linking contrast, β-likeness semantics, and parity of
-/// the deprecated harness wrappers with the runner they now delegate to.
+/// transparent-vs-linking contrast and β-likeness semantics.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +10,6 @@
 #include <vector>
 
 #include "attack/adversaries.h"
-#include "attack/breach_harness.h"
-#include "attack/external_db.h"
 #include "attack/publishers.h"
 #include "attack/scenario.h"
 #include "common/parallel/thread_pool.h"
@@ -219,47 +216,6 @@ TEST(BreachScenarioTest, TransparentAdversaryRequiresProvenance) {
                                   cell.options)
                   .status()
                   .IsFailedPrecondition());
-}
-
-TEST(BreachScenarioTest, DeprecatedWrappersMatchTheRunner) {
-  // The historical entrypoints are thin shims over BreachScenario::Run;
-  // their numbers must be draw-for-draw identical to the direct path.
-  PinnedCell cell;
-  Rng rng(32);
-  ExternalDatabase edb =
-      ExternalDatabase::FromMicrodata(cell.census.table, 800, rng);
-  PgOptions options;
-  options.k = 4;
-  options.p = 0.3;
-  options.seed = 31;
-  options.keep_provenance = true;
-  PgPublisher publisher(options);
-  PublishedTable published =
-      publisher.Publish(cell.census.table, cell.census.TaxonomyPointers())
-          .ValueOrDie();
-
-  ScenarioDataset dataset = cell.dataset;
-  dataset.edb = &edb;
-  FixedPgRelease fixed(&published);
-  CorruptionLinkingAdversary adversary;
-  const BreachStats direct =
-      BreachScenario::Run(fixed, adversary, dataset, cell.options)
-          .ValueOrDie();
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const BreachStats legacy =
-      MeasurePgBreaches(published, edb, cell.census.table,
-                        cell.options.harness)
-          .ValueOrDie();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(legacy.attacks, direct.attacks);
-  EXPECT_EQ(legacy.max_growth, direct.max_growth);
-  EXPECT_EQ(legacy.mean_growth, direct.mean_growth);
-  EXPECT_EQ(legacy.max_posterior_rho1, direct.max_posterior_rho1);
-  EXPECT_EQ(legacy.max_h, direct.max_h);
-  EXPECT_EQ(legacy.delta_breaches, direct.delta_breaches);
-  EXPECT_EQ(legacy.rho_breaches, direct.rho_breaches);
 }
 
 // ----------------------------------------------------------- β-likeness

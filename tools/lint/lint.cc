@@ -886,6 +886,58 @@ std::vector<Finding> LintFile(const std::string& rel_path,
   return findings;
 }
 
+std::map<std::string, int> ParseAllowlist(const std::string& text) {
+  std::map<std::string, int> entries;
+  size_t start = 0;
+  for (int line_no = 1; start < text.size(); ++line_no) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    std::string line = text.substr(start, end - start);
+    start = end + 1;
+    const size_t hash = line.find('#');
+    if (hash != std::string::npos) line.erase(hash);
+    const size_t b = line.find_first_not_of(" \t\r");
+    if (b == std::string::npos) continue;
+    const size_t e = line.find_last_not_of(" \t\r");
+    entries.emplace(line.substr(b, e - b + 1), line_no);
+  }
+  return entries;
+}
+
+std::vector<Finding> FindStaleAllowlistEntries(
+    const std::string& allowlist_rel,
+    const std::map<std::string, int>& entries, const SourceReader& read) {
+  std::vector<Finding> findings;
+  for (const auto& [entry, line] : entries) {
+    const std::optional<std::string> source = read(entry);
+    if (!source) {
+      findings.push_back(Finding{allowlist_rel, line, kRuleCheckOnInputPath,
+                                 "stale allowlist entry '" + entry +
+                                     "': no such file — delete the line"});
+      continue;
+    }
+    // Macro uses are identifiers; the definitions (common/logging.h) are
+    // preprocessor directives.
+    const LexedFile lexed = Lex(*source);
+    const bool has_check = std::any_of(
+        lexed.tokens.begin(), lexed.tokens.end(), [](const Token& t) {
+          return (t.kind == TokenKind::kIdentifier &&
+                  t.text.rfind("PGPUB_CHECK", 0) == 0) ||
+                 (t.kind == TokenKind::kPreprocessor &&
+                  t.text.find("PGPUB_CHECK") != std::string::npos);
+        });
+    if (!has_check) {
+      findings.push_back(Finding{allowlist_rel, line, kRuleCheckOnInputPath,
+                                 "stale allowlist entry '" + entry +
+                                     "': the file has no PGPUB_CHECK* — "
+                                     "delete the line"});
+    }
+  }
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) { return a.line < b.line; });
+  return findings;
+}
+
 std::vector<Finding> LintSource(const std::string& rel_path,
                                 FileCategory category,
                                 const std::string& source,

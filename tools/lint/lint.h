@@ -1,5 +1,8 @@
 #pragma once
 
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +31,8 @@ struct Finding {
 ///   L3 check-on-input-path  — PGPUB_CHECK* in a src/ file that is not on
 ///                             the CHECK allowlist (user-reachable code
 ///                             must fail closed with Status instead).
+///                             Also reports stale allowlist entries (see
+///                             FindStaleAllowlistEntries).
 ///   L4 nondeterminism       — RNG or wall-clock primitives not routed
 ///                             through common/random.h (std::rand,
 ///                             std::random_device, default-seeded engines,
@@ -151,6 +156,23 @@ void HarvestStatusApis(const LexedFile& lexed, std::set<std::string>* out);
 std::vector<Finding> LintFile(const std::string& rel_path,
                               FileCategory category, const LexedFile& lexed,
                               const LintOptions& options);
+
+/// Parses the CHECK allowlist format: one repo-relative path per line,
+/// '#' starts a comment, blank lines are ignored. Maps each entry to its
+/// 1-based line.
+std::map<std::string, int> ParseAllowlist(const std::string& text);
+
+/// Reads a repo-relative file; std::nullopt when it does not exist.
+using SourceReader =
+    std::function<std::optional<std::string>(const std::string& rel_path)>;
+
+/// L3 hygiene: an allowlist entry is stale when its file no longer exists
+/// or holds no PGPUB_CHECK* (comments do not count). Each stale entry is
+/// reported against `allowlist_rel` at the entry's line, so the list
+/// shrinks as CHECKs migrate to Status or code is deleted.
+std::vector<Finding> FindStaleAllowlistEntries(
+    const std::string& allowlist_rel,
+    const std::map<std::string, int>& entries, const SourceReader& read);
 
 /// Convenience for tests and the CLI: lex `source` and lint it.
 std::vector<Finding> LintSource(const std::string& rel_path,

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
 
 #include "lexer.h"
 
@@ -291,6 +294,45 @@ TEST(CheckOnInputPathTest, Suppressible) {
       "  PGPUB_CHECK_GT(k, 0);\n"
       "}\n");
   EXPECT_TRUE(findings.empty()) << findings[0].message;
+}
+
+TEST(CheckOnInputPathTest, ParseAllowlistKeepsEntryLines) {
+  const std::map<std::string, int> entries = ParseAllowlist(
+      "# header\n"
+      "\n"
+      "src/a.cc\n"
+      "  src/b.h   # trailing comment\r\n");
+  EXPECT_EQ(entries, (std::map<std::string, int>{{"src/a.cc", 3},
+                                                  {"src/b.h", 4}}));
+}
+
+TEST(CheckOnInputPathTest, StaleAllowlistEntriesAreFindings) {
+  const std::map<std::string, std::string> tree = {
+      {"src/uses.cc", "void f(int k) { PGPUB_CHECK_GT(k, 0); }\n"},
+      {"src/defines.h", "#define PGPUB_CHECK(c) Die(#c)\n"},
+      {"src/migrated.cc",
+       "// Used to PGPUB_CHECK here; now returns Status.\n"
+       "Status f() { return Status::OK(); }\n"},
+  };
+  const SourceReader read =
+      [&](const std::string& rel) -> std::optional<std::string> {
+    auto it = tree.find(rel);
+    if (it == tree.end()) return std::nullopt;
+    return it->second;
+  };
+  const std::map<std::string, int> entries = {{"src/uses.cc", 2},
+                                              {"src/defines.h", 3},
+                                              {"src/migrated.cc", 4},
+                                              {"src/deleted.cc", 5}};
+  const auto findings =
+      FindStaleAllowlistEntries("tools/allow.txt", entries, read);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].file, "tools/allow.txt");
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_EQ(findings[0].rule, kRuleCheckOnInputPath);
+  EXPECT_NE(findings[0].message.find("src/migrated.cc"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 5);
+  EXPECT_NE(findings[1].message.find("no such file"), std::string::npos);
 }
 
 // ------------------------------------------------------ L4 nondeterminism

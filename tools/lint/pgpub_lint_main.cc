@@ -7,7 +7,9 @@
 //
 // With no paths, scans src/ bench/ examples/ under --root (default: the
 // current directory, walking up until a directory containing src/ is
-// found). Exit code 0 = clean, 1 = findings, 2 = usage/IO error.
+// found). Allowlist entries naming a missing file, or a file without
+// PGPUB_CHECK*, are L3 findings. Exit code 0 = clean, 1 = findings,
+// 2 = usage/IO error.
 
 #include <algorithm>
 #include <filesystem>
@@ -65,22 +67,6 @@ fs::path FindRoot(fs::path start) {
     if (dir == dir.root_path()) break;
   }
   return start;
-}
-
-bool LoadAllowlist(const fs::path& file, std::set<std::string>* out) {
-  std::ifstream in(file);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    // Trim.
-    const size_t b = line.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
-    const size_t e = line.find_last_not_of(" \t\r");
-    out->insert(line.substr(b, e - b + 1));
-  }
-  return true;
 }
 
 int Usage(const char* argv0) {
@@ -143,11 +129,18 @@ int main(int argc, char** argv) {
 
   LintOptions options;
   options.enabled_rules = rules;
-  if (!allowlist_file.empty() &&
-      !LoadAllowlist(allowlist_file, &options.check_allowlist)) {
-    std::cerr << "pgpub_lint: cannot read allowlist '"
-              << allowlist_file.string() << "'\n";
-    return 2;
+  std::map<std::string, int> allowlist;
+  if (!allowlist_file.empty()) {
+    std::string text;
+    if (!ReadFile(allowlist_file, &text)) {
+      std::cerr << "pgpub_lint: cannot read allowlist '"
+                << allowlist_file.string() << "'\n";
+      return 2;
+    }
+    allowlist = pgpub::lint::ParseAllowlist(text);
+    for (const auto& [entry, line] : allowlist) {
+      options.check_allowlist.insert(entry);
+    }
   }
 
   // Collect the file set.
@@ -205,14 +198,29 @@ int main(int argc, char** argv) {
   // Pass 2: run the rules.
   int total = 0;
   int scanned = 0;
+  const auto emit = [&](const Finding& f) {
+    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n";
+    ++total;
+  };
+  if (rules.empty() || rules.count(pgpub::lint::kRuleCheckOnInputPath) > 0) {
+    const auto read = [&](const std::string& rel)
+        -> std::optional<std::string> {
+      std::string source;
+      if (!ReadFile(root / rel, &source)) return std::nullopt;
+      return source;
+    };
+    for (const Finding& f : pgpub::lint::FindStaleAllowlistEntries(
+             RelPath(allowlist_file, root), allowlist, read)) {
+      emit(f);
+    }
+  }
   for (const Unit& u : units) {
     if (u.category == FileCategory::kExempt) continue;
     ++scanned;
     for (const Finding& f :
          pgpub::lint::LintFile(u.rel, u.category, u.lexed, options)) {
-      std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
-                << f.message << "\n";
-      ++total;
+      emit(f);
     }
   }
 

@@ -15,17 +15,18 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+
+#include "common/string_util.h"
 
 int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr, "usage: %s PORT COMMAND [ARG...]\n", argv[0]);
     return 2;
   }
-  const int port = std::atoi(argv[1]);
-  if (port <= 0 || port > 65535) {
+  const pgpub::Result<int64_t> port = pgpub::ParseInt64(argv[1]);
+  if (!port.ok() || *port <= 0 || *port > 65535) {
     std::fprintf(stderr, "pgpubctl: bad port '%s'\n", argv[1]);
     return 2;
   }
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_port = htons(static_cast<uint16_t>(*port));
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) < 0) {
     std::perror("pgpubctl: connect");

@@ -24,13 +24,14 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "datagen/sal.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -61,6 +62,18 @@ struct Flags {
       {"census", 2000}, {"clinic", 1500}, {"hospital", 1000}};
 };
 
+constexpr int64_t kMaxInt = std::numeric_limits<int64_t>::max();
+
+/// Parses a whole-string integer in [lo, hi] ("8080x", "abc" and
+/// out-of-range values are rejected, never truncated or wrapped).
+bool ParseIntIn(const std::string& text, int64_t lo, int64_t hi,
+                int64_t* out) {
+  const pgpub::Result<int64_t> parsed = pgpub::ParseInt64(text);
+  if (!parsed.ok() || *parsed < lo || *parsed > hi) return false;
+  *out = *parsed;
+  return true;
+}
+
 bool ParseTenants(const std::string& value, std::vector<TenantSpec>* out) {
   out->clear();
   size_t start = 0;
@@ -72,8 +85,9 @@ bool ParseTenants(const std::string& value, std::vector<TenantSpec>* out) {
     if (colon == std::string::npos || colon == 0) return false;
     TenantSpec spec;
     spec.name = item.substr(0, colon);
-    spec.rows = static_cast<size_t>(std::atoll(item.c_str() + colon + 1));
-    if (spec.rows == 0) return false;
+    int64_t rows = 0;
+    if (!ParseIntIn(item.substr(colon + 1), 1, kMaxInt, &rows)) return false;
+    spec.rows = static_cast<size_t>(rows);
     out->push_back(std::move(spec));
     start = comma + 1;
   }
@@ -91,20 +105,30 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       return nullptr;
     };
+    auto bad_value = [&] {
+      std::fprintf(stderr, "pgpubd: bad value in '%s'\n", arg.c_str());
+      return false;
+    };
+    int64_t n = 0;
     if (const char* v = value_of("--port")) {
-      flags->port = std::atoi(v);
+      if (!ParseIntIn(v, 0, 65535, &n)) return bad_value();
+      flags->port = static_cast<int>(n);
     } else if (const char* v = value_of("--port-file")) {
       flags->port_file = v;
     } else if (const char* v = value_of("--queue-capacity")) {
-      flags->queue_capacity = static_cast<size_t>(std::atoll(v));
+      if (!ParseIntIn(v, 0, kMaxInt, &n)) return bad_value();
+      flags->queue_capacity = static_cast<size_t>(n);
     } else if (const char* v = value_of("--batch-seed")) {
-      flags->batch_seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseIntIn(v, 0, kMaxInt, &n)) return bad_value();
+      flags->batch_seed = static_cast<uint64_t>(n);
     } else if (const char* v = value_of("--drain")) {
       flags->drain = v;
     } else if (const char* v = value_of("--trace")) {
       flags->trace_path = v;
     } else if (const char* v = value_of("--slow-ms")) {
-      flags->slow_ms = std::atof(v);
+      const pgpub::Result<double> ms = pgpub::ParseDouble(v);
+      if (!ms.ok()) return bad_value();
+      flags->slow_ms = *ms;
     } else if (const char* v = value_of("--tenants")) {
       if (!ParseTenants(v, &flags->tenants)) {
         std::fprintf(stderr, "pgpubd: bad --tenants spec '%s'\n", v);

@@ -2,8 +2,9 @@
 # End-to-end smoke test for pgpubd: boots the daemon with a deliberately
 # tiny queue, drives mixed-tenant load through pgpubctl until admission
 # control visibly rejects, asserts the health counters, then checks that
-# SIGTERM drains cleanly (exit 0). CI runs this as the server-smoke job;
-# it is also runnable locally:
+# SIGTERM drains cleanly (exit 0). Malformed numeric flags must be
+# rejected up front with the usage exit code. CI runs this as the
+# server-smoke job; it is also runnable locally:
 #
 #   tools/pgpubd/server_smoke.sh build/tools/pgpubd/pgpubd \
 #                                build/tools/pgpubd/pgpubctl
@@ -16,6 +17,22 @@ fail() { echo "server_smoke: FAIL: $*" >&2; exit 1; }
 
 [ -x "$PGPUBD" ] || fail "missing $PGPUBD"
 [ -x "$PGPUBCTL" ] || fail "missing $PGPUBCTL"
+
+# Malformed numeric arguments are usage errors (exit 2) before anything
+# binds: no ephemeral port for --port=abc, no truncation of 8080x, no
+# wrap of a negative capacity to SIZE_MAX. The timeout turns a daemon
+# that wrongly starts serving into a failure instead of a hang.
+expect_usage_error() {
+  local rc=0
+  timeout 20 "$@" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || fail "'$*' exited $rc, want usage error 2"
+}
+for flag in --port=abc --port=8080x --port=70000 --queue-capacity=-1 \
+            --batch-seed=-1 --slow-ms=fast --tenants=census:12x; do
+  expect_usage_error "$PGPUBD" "$flag"
+done
+expect_usage_error "$PGPUBCTL" 80x HEALTH
+expect_usage_error "$PGPUBCTL" abc HEALTH
 
 PORT_FILE=$(mktemp)
 trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -f "$PORT_FILE"' EXIT
