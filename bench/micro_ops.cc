@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+
 #include "attack/linking_attack.h"
 #include "bench/bench_report.h"
 #include "core/pg_publisher.h"
@@ -296,6 +298,13 @@ int main(int argc, char** argv) {
   pgpub::CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // Listing the benchmarks, or a filter that matches none, runs nothing;
+  // an empty artifact would overwrite a real one in the output directory.
+  if (reporter.runs().empty()) {
+    std::fprintf(stderr, "micro_ops: no benchmark ran; BENCH_micro_ops.json "
+                         "not written\n");
+    return 0;
+  }
 
   uint64_t total_iterations = 0;
   for (const auto& run : reporter.runs()) {

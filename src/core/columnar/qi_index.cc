@@ -130,11 +130,12 @@ LatticeCounter::LatticeCounter(const QiIndex* index,
 }
 
 bool LatticeCounter::IsKAnonymousAtDepths(const std::vector<int>& depths,
-                                          int k,
-                                          Phase2Scratch* scratch) const {
+                                          int k) const {
   const size_t d = remap_.size();
   PGPUB_CHECK_EQ(depths.size(), d);
-  PGPUB_CHECK(scratch != nullptr);
+  // One scratch per thread, reused by every fold that thread runs: after
+  // warm-up a fold allocates nothing, and concurrent folds never share.
+  thread_local Phase2Scratch scratch;
 
   // Resolve each attribute's remap (depths clamp like RecodingAtDepths)
   // and the mixed-radix cell strides over interval ranks.
@@ -161,7 +162,7 @@ bool LatticeCounter::IsKAnonymousAtDepths(const std::vector<int>& depths,
     // rank) always fits u64 since both factors are < 2^32, and the final
     // labels number at most m, so they count densely.
     std::vector<uint64_t> labels(m, 0);
-    auto& refine = scratch->sparse_counts;
+    auto& refine = scratch.sparse_counts;
     for (size_t a = 0; a < d; ++a) {
       refine.clear();
       const std::vector<int32_t>& codes = index_->codes(a);
@@ -173,14 +174,14 @@ bool LatticeCounter::IsKAnonymousAtDepths(const std::vector<int>& depths,
                 .first->second);
       }
     }
-    DenseGroupCounter& dense = scratch->dense;
+    DenseGroupCounter& dense = scratch.dense;
     dense.Begin(m);
     for (size_t t = 0; t < m; ++t) dense.Add(labels[t], weights[t]);
     return dense.AllAtLeast(k);
   }
 
   if (cells <= kDenseCellBudget) {
-    DenseGroupCounter& dense = scratch->dense;
+    DenseGroupCounter& dense = scratch.dense;
     dense.Begin(cells);
     for (size_t t = 0; t < m; ++t) {
       uint64_t cell = 0;
@@ -193,7 +194,7 @@ bool LatticeCounter::IsKAnonymousAtDepths(const std::vector<int>& depths,
     return dense.AllAtLeast(k);
   }
 
-  auto& sparse = scratch->sparse_counts;
+  auto& sparse = scratch.sparse_counts;
   sparse.clear();  // keeps its buckets — no steady-state allocation
   for (size_t t = 0; t < m; ++t) {
     uint64_t cell = 0;

@@ -65,7 +65,8 @@ class QiIndex {
 ///
 /// Construction precomputes the code→interval-rank remap for every
 /// (attribute, depth); each lattice-node check is then one fold over the
-/// base set. Thread-safe: checks mutate only the caller's Phase2Scratch.
+/// base set. Thread-safe: each check folds into its thread's own
+/// thread-local Phase2Scratch.
 class LatticeCounter {
  public:
   /// `taxonomies` must outlive the counter and cover index->qi_attrs()
@@ -77,8 +78,7 @@ class LatticeCounter {
   /// least k rows. Depths clamp to each taxonomy's height, mirroring
   /// RecodingAtDepths. Exact at any cell-space size: a node whose cell
   /// key would overflow u64 is counted by per-attribute refinement.
-  bool IsKAnonymousAtDepths(const std::vector<int>& depths, int k,
-                            Phase2Scratch* scratch) const;
+  bool IsKAnonymousAtDepths(const std::vector<int>& depths, int k) const;
 
  private:
   const QiIndex* index_;

@@ -278,10 +278,6 @@ Result<PublishedTable> PgPublisher::Publish(
       IncognitoOptions inc_options;
       inc_options.k = k;
       inc_options.pool = pool;
-      if (hooks != nullptr) {
-        inc_options.qi_index = hooks->qi_index();
-        inc_options.scratch = hooks->scratch_pool();
-      }
       ASSIGN_OR_RETURN(
           recoding, IncognitoSearch(microdata, qi, taxonomies, inc_options));
       if (hooks != nullptr) hooks->StoreRecoding(recoding_query, recoding);

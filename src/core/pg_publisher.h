@@ -89,7 +89,7 @@ class PgPublisher {
   explicit PgPublisher(PgOptions options) : options_(std::move(options)) {}
 
   /// Publishes `microdata`. `taxonomies` is parallel to the schema's QI
-  /// attributes; null entries request data-driven binary splits (TDS only).
+  /// attributes, one non-null taxonomy each (InvalidArgument otherwise).
   ///
   /// `hooks` (optional) is the serving-layer injection point
   /// (core/publish_hooks.h): it can mark inputs as prevalidated, share a

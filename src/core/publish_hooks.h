@@ -11,11 +11,6 @@
 
 namespace pgpub {
 
-namespace columnar {
-class QiIndex;      // core/columnar/qi_index.h
-class ScratchPool;  // core/columnar/arena.h
-}  // namespace columnar
-
 /// What Phase 2 is about to compute — everything the result depends on
 /// besides the dataset and taxonomy family themselves (those are fixed per
 /// hooks instance; see PublishHooks). For TDS the class labels feed the
@@ -69,18 +64,6 @@ class PublishHooks {
   /// Long-lived pool lease shared across requests; null means "resolve a
   /// lease per call from PgOptions::num_threads" (the one-shot behaviour).
   virtual const PoolLease* pool_lease() const { return nullptr; }
-
-  /// Prebuilt columnar QI index over the bound dataset's QI columns
-  /// (perturbation never touches those, so one index serves every
-  /// request). Null means "build per publish". Consulted by Incognito
-  /// only (TDS scans rows and never asks); the returned index must
-  /// outlive the publish call.
-  virtual const columnar::QiIndex* qi_index() { return nullptr; }
-
-  /// Shared scratch pool for Incognito's lattice folds, letting warmed
-  /// arenas survive across requests (zero steady-state allocation). Null
-  /// means "the search owns a private pool per publish".
-  virtual columnar::ScratchPool* scratch_pool() { return nullptr; }
 
   /// Deadline-budget checkpoint. PgPublisher calls this between phases
   /// (before perturbation, generalization and sampling) and

@@ -167,13 +167,9 @@ Result<PublishedTable> RobustPublisher::Publish(
 
   std::vector<PgOptions::Generalizer> rounds = {options_.generalizer};
   if (policy_.allow_generalizer_fallback) {
-    bool all_taxonomies = true;
-    for (const Taxonomy* t : taxonomies) all_taxonomies &= t != nullptr;
-    if (all_taxonomies) {
-      rounds.push_back(options_.generalizer == PgOptions::Generalizer::kTds
-                           ? PgOptions::Generalizer::kIncognito
-                           : PgOptions::Generalizer::kTds);
-    }
+    rounds.push_back(options_.generalizer == PgOptions::Generalizer::kTds
+                         ? PgOptions::Generalizer::kIncognito
+                         : PgOptions::Generalizer::kTds);
   }
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();

@@ -19,8 +19,7 @@ struct RobustPublishOptions {
   int max_attempts = 3;
 
   /// When the configured generalizer exhausts its attempts, retry the
-  /// whole budget with the other one (TDS -> Incognito). Requires every
-  /// QI attribute to carry a taxonomy; skipped otherwise.
+  /// whole budget with the other one (TDS -> Incognito).
   bool allow_generalizer_fallback = true;
 
   /// Run VerifyPublication + a guarantee re-check on every candidate

@@ -41,7 +41,7 @@ Status ValidatePublishInputs(const Table& microdata,
   }
   if (taxonomies.size() != qi.size()) {
     return Status::InvalidArgument(
-        "need one taxonomy entry (possibly null) per QI attribute, got " +
+        "need one taxonomy per QI attribute, got " +
         std::to_string(taxonomies.size()) + " for " +
         std::to_string(qi.size()));
   }
@@ -50,11 +50,13 @@ Status ValidatePublishInputs(const Table& microdata,
   RETURN_IF_ERROR(ValidatePgOptions(options, us));
 
   for (size_t i = 0; i < qi.size(); ++i) {
-    if (taxonomies[i] == nullptr) continue;
+    const std::string& name = microdata.schema().attribute(qi[i]).name;
+    if (taxonomies[i] == nullptr) {
+      return Status::InvalidArgument("no taxonomy for QI attribute " + name);
+    }
     RETURN_IF_ERROR(
         ValidateTaxonomy(*taxonomies[i], microdata.domain(qi[i]).size())
-            .WithContext("taxonomy of QI attribute " +
-                         microdata.schema().attribute(qi[i]).name));
+            .WithContext("taxonomy of QI attribute " + name));
   }
 
   // Sensitive codes must lie in [0, |U^s|): Phase 1 indexes the

@@ -31,8 +31,8 @@ namespace pgpub {
 [[nodiscard]] Status ValidateTaxonomy(const Taxonomy& taxonomy, int32_t domain_size);
 
 /// Full pre-flight check of a publish call: schema roles (>= 1 QI,
-/// exactly one sensitive attribute with >= 2 values), one taxonomy entry
-/// per QI attribute with matching domains, sensitive codes in range,
+/// exactly one sensitive attribute with >= 2 values), one non-null
+/// taxonomy per QI attribute with matching domains, sensitive codes in range,
 /// enough rows for the effective k, and ValidatePgOptions.
 [[nodiscard]] Status ValidatePublishInputs(const Table& microdata,
                              const std::vector<const Taxonomy*>& taxonomies,

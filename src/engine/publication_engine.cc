@@ -109,13 +109,6 @@ class PublicationEngine::Hooks final : public PublishHooks {
     engine_->recoding_cache_.Insert(KeyOf(query), recoding);
   }
 
-  const columnar::QiIndex* qi_index() override {
-    return engine_->EnsureQiIndex();
-  }
-  columnar::ScratchPool* scratch_pool() override {
-    return &engine_->scratch_pool_;
-  }
-
  private:
   static RetentionKey KeyOf(const RetentionQuery& query) {
     return RetentionKey{static_cast<int>(query.target.kind),
@@ -249,17 +242,6 @@ CacheStats PublicationEngine::combined_cache_stats() const {
   total.misses = recoding.misses + retention.misses;
   total.evictions = recoding.evictions + retention.evictions;
   return total;
-}
-
-const columnar::QiIndex* PublicationEngine::EnsureQiIndex() {
-  if (qi_index_ == nullptr) {
-    qi_index_ = std::make_unique<columnar::QiIndex>(columnar::QiIndex::Build(
-        microdata_, microdata_.schema().QiIndices()));
-    PGPUB_LOG_DEBUG("engine.qi_index")
-        .Field("rows", microdata_.num_rows())
-        .Field("tuples", qi_index_->num_tuples());
-  }
-  return qi_index_.get();
 }
 
 uint64_t PublicationEngine::NowNanos() const {

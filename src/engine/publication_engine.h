@@ -10,8 +10,6 @@
 
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
-#include "core/columnar/arena.h"
-#include "core/columnar/qi_index.h"
 #include "core/robust_publisher.h"
 #include "engine/lru_cache.h"
 #include "hierarchy/recoding.h"
@@ -182,12 +180,6 @@ class PublicationEngine {
   /// std::chrono::steady_clock).
   uint64_t NowNanos() const;
 
-  /// Lazily builds (once) and returns the columnar QI index over the
-  /// engine's microdata — perturbation never touches QI columns, so one
-  /// index serves every request. Plain lazy init: Publish is
-  /// single-threaded by contract and the hooks call this from inside it.
-  const columnar::QiIndex* EnsureQiIndex();
-
   Table microdata_;
   std::vector<Taxonomy> taxonomies_;
   std::vector<const Taxonomy*> taxonomy_ptrs_;
@@ -203,12 +195,6 @@ class PublicationEngine {
   uint64_t current_deadline_nanos_ = 0;
   LruCache<RecodingKey, GlobalRecoding> recoding_cache_;
   LruCache<RetentionKey, double> retention_cache_;
-  /// Incognito's Phase-2 state shared across requests (DESIGN.md §15):
-  /// the QI index is built on the first Incognito publish (a TDS-only
-  /// tenant never builds it); the scratch pool keeps warmed arenas so
-  /// steady-state lattice folds allocate nothing.
-  std::unique_ptr<columnar::QiIndex> qi_index_;
-  columnar::ScratchPool scratch_pool_;
   std::unique_ptr<Hooks> hooks_;
 };
 

@@ -103,20 +103,12 @@ Result<GlobalRecoding> IncognitoSearch(
     index = owned_index.get();
   }
   const columnar::LatticeCounter counter(index, taxonomies);
-  std::unique_ptr<columnar::ScratchPool> owned_scratch;
-  columnar::ScratchPool* scratch = options.scratch;
-  if (scratch == nullptr) {
-    owned_scratch = std::make_unique<columnar::ScratchPool>();
-    scratch = owned_scratch.get();
-  }
 
   // The k-anonymity of a node is a pure function of (table, node), so a
   // level's candidates can be checked in parallel and their verdicts
   // recorded afterwards without changing any answer.
   auto check_anonymous = [&](size_t node) {
-    columnar::ScratchPool::Lease lease = scratch->Acquire();
-    return counter.IsKAnonymousAtDepths(depths_of(node), options.k,
-                                        lease.get());
+    return counter.IsKAnonymousAtDepths(depths_of(node), options.k);
   };
 
   enum Verdict : uint8_t { kUnknown, kPending, kAnonymous, kNotAnonymous };

@@ -4,7 +4,6 @@
 
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
-#include "core/columnar/arena.h"
 #include "core/columnar/qi_index.h"
 #include "generalize/qi_groups.h"
 #include "hierarchy/recoding.h"
@@ -25,16 +24,13 @@ struct IncognitoOptions {
   /// every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Optional prebuilt QI index over (table, qi_attrs), typically shared
-  /// by a PublicationEngine. Null = build one per search. Every lattice
-  /// node's k-anonymity check folds this base frequency set (distinct raw
-  /// QI tuples + counts) through per-(attr, depth) code remaps into a
-  /// radix group counter (DESIGN.md §15) instead of rescanning rows.
+  /// Optional prebuilt QI index over (table, qi_attrs). Null = build one
+  /// per search. Every lattice node's k-anonymity check folds this base
+  /// frequency set (distinct raw QI tuples + counts) through per-(attr,
+  /// depth) code remaps into a radix group counter (DESIGN.md §15)
+  /// instead of rescanning rows. Only perfbench sets it; slated for
+  /// removal with the next benchmark change (ROADMAP).
   const columnar::QiIndex* qi_index = nullptr;
-
-  /// Optional shared scratch pool for the per-check counters. Null = the
-  /// search owns a private pool.
-  columnar::ScratchPool* scratch = nullptr;
 };
 
 /// \brief Full-domain generalization search in the spirit of Incognito

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_map>
 
 #include "common/failpoint.h"
@@ -22,7 +23,6 @@ TopDownSpecializer::TopDownSpecializer(const Table& table,
       class_labels_(std::move(class_labels)),
       num_classes_(num_classes),
       options_(options) {
-  PGPUB_CHECK_EQ(qi_attrs_.size(), taxonomies_.size());
   PGPUB_CHECK_EQ(class_labels_.size(), table_.num_rows());
   PGPUB_CHECK_GT(num_classes_, 0);
   if (options_.constraint != nullptr) {
@@ -80,26 +80,10 @@ const std::vector<int32_t>& TopDownSpecializer::GroupsOfSegment(int attr_idx,
   return list;
 }
 
-std::vector<Interval> TopDownSpecializer::ChildIntervals(
-    int attr_idx, const Interval& s, const Candidate& cand) const {
-  std::vector<Interval> out;
-  if (cand.taxonomy_node >= 0) {
-    const Taxonomy* tax = taxonomies_[attr_idx];
-    for (int c : tax->node(cand.taxonomy_node).children) {
-      out.push_back(tax->node(c).range);
-    }
-  } else {
-    out.push_back(Interval(s.lo, cand.cut - 1));
-    out.push_back(Interval(cand.cut, s.hi));
-  }
-  return out;
-}
-
 void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
   cand->dirty = false;
   cand->valid = false;
   cand->taxonomy_node = -1;
-  cand->cut = -1;
 
   const AttributeRecoding& rec = recodings_[attr_idx];
   const int32_t gen = rec.GenOf(lo);
@@ -122,249 +106,108 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
   const int32_t cons_dom =
       options_.constraint != nullptr ? table_.domain(cons_attr).size() : 0;
 
-  if (tax != nullptr) {
-    const int node_id = tax->FindNode(s);
-    PGPUB_CHECK_GE(node_id, 0)
-        << "segment does not match a taxonomy node on attribute "
-        << table_.schema().attribute(attr).name;
-    const TaxonomyNode& node = tax->node(node_id);
-    PGPUB_CHECK(!node.children.empty());
-    const size_t n_children = node.children.size();
+  const int node_id = tax->FindNode(s);
+  PGPUB_CHECK_GE(node_id, 0)
+      << "segment does not match a taxonomy node on attribute "
+      << table_.schema().attribute(attr).name;
+  const TaxonomyNode& node = tax->node(node_id);
+  PGPUB_CHECK(!node.children.empty());
+  const size_t n_children = node.children.size();
 
-    // Map code -> child rank within this node.
-    std::vector<int32_t> code_to_child(s.width());
-    for (size_t ci = 0; ci < n_children; ++ci) {
-      const Interval cr = tax->node(node.children[ci]).range;
-      for (int32_t c = cr.lo; c <= cr.hi; ++c) {
-        code_to_child[c - s.lo] = static_cast<int32_t>(ci);
-      }
+  // Map code -> child rank within this node.
+  std::vector<int32_t> code_to_child(s.width());
+  for (size_t ci = 0; ci < n_children; ++ci) {
+    const Interval cr = tax->node(node.children[ci]).range;
+    for (int32_t c = cr.lo; c <= cr.hi; ++c) {
+      code_to_child[c - s.lo] = static_cast<int32_t>(ci);
     }
-
-    double gain = 0.0;
-    double bias = 0.0;
-    double ss_reduction = 0.0;
-    double affected_ss = 0.0;
-    int64_t affected_rows = 0;
-    int64_t min_new = std::numeric_limits<int64_t>::max();
-    bool valid = true;
-    std::vector<double> parent_class(num_classes_);
-    std::vector<std::vector<double>> child_class(
-        n_children, std::vector<double>(num_classes_));
-    std::vector<int64_t> child_count(n_children);
-    std::vector<std::vector<int64_t>> child_cons;
-    if (options_.constraint != nullptr) {
-      child_cons.assign(n_children, std::vector<int64_t>(cons_dom));
-    }
-
-    for (int32_t gid : gids) {
-      const Group& g = groups_[gid];
-      std::fill(parent_class.begin(), parent_class.end(), 0.0);
-      std::fill(child_count.begin(), child_count.end(), 0);
-      for (auto& v : child_class) std::fill(v.begin(), v.end(), 0.0);
-      for (auto& v : child_cons) std::fill(v.begin(), v.end(), 0);
-
-      for (uint32_t r : g.rows) {
-        const int32_t child = code_to_child[table_.value(r, attr) - s.lo];
-        const int32_t cls = class_labels_[r];
-        parent_class[cls] += 1.0;
-        child_class[child][cls] += 1.0;
-        child_count[child]++;
-        if (options_.constraint != nullptr) {
-          child_cons[child][table_.value(r, cons_attr)]++;
-        }
-      }
-
-      double child_entropy_rows = 0.0;
-      double child_sq = 0.0;
-      int nonempty_children = 0;
-      for (size_t ci = 0; ci < n_children; ++ci) {
-        if (child_count[ci] == 0) continue;
-        ++nonempty_children;
-        if (child_count[ci] < options_.k) {
-          valid = false;
-          break;
-        }
-        if (options_.constraint != nullptr &&
-            !options_.constraint->Satisfied(child_cons[ci])) {
-          valid = false;
-          break;
-        }
-        min_new = std::min<int64_t>(min_new, child_count[ci]);
-        child_sq += static_cast<double>(child_count[ci]) *
-                    static_cast<double>(child_count[ci]);
-        child_entropy_rows += static_cast<double>(child_count[ci]) *
-                              EntropyFromCounts(child_class[ci]);
-      }
-      if (!valid) break;
-      const double n_g = static_cast<double>(g.size());
-      affected_rows += g.size();
-      affected_ss += n_g * n_g;
-      ss_reduction += n_g * n_g - child_sq;
-      gain += n_g * EntropyFromCounts(parent_class) - child_entropy_rows;
-      // Chi-square bias of the empirical entropy gain: under the no-signal
-      // null, 2 ln(2) n ΔH ~ chi^2 with (C-1)(m-1) dof, so the expected
-      // spurious gain is (C-1)(m-1)/(2 ln 2) rows·bits per group.
-      bias += (nonempty_children - 1) * (num_classes_ - 1) /
-              (2.0 * std::log(2.0));
-    }
-    if (!valid) return;
-
-    cand->valid = true;
-    cand->taxonomy_node = node_id;
-    cand->gain = gain;
-    cand->min_new_size = min_new;
-    cand->ss_reduction = ss_reduction;
-    // Significance-debiased gain (chi-square null correction, x3 margin).
-    cand->gain_per_row =
-        affected_rows > 0
-            ? (gain - 3.0 * bias) / static_cast<double>(affected_rows)
-            : 0.0;
-    if (options_.balance_aware) {
-      cand->score =
-          CombinedScore(cand->gain_per_row, ss_reduction, affected_ss);
-    } else {
-      const int64_t loss = std::max<int64_t>(0, global_min - min_new);
-      cand->score = gain / static_cast<double>(loss + 1);
-    }
-    return;
   }
 
-  // Dynamic binary split: evaluate every cut position within the segment
-  // and keep the best valid one.
-  const int32_t width = s.width();
-  const size_t n_cuts = static_cast<size_t>(width) - 1;
-  std::vector<double> cut_gain(n_cuts, 0.0);
-  std::vector<double> cut_ss(n_cuts, 0.0);
-  std::vector<double> cut_bias(n_cuts, 0.0);
-  std::vector<char> cut_valid(n_cuts, 1);
-  std::vector<int64_t> cut_min(n_cuts,
-                               std::numeric_limits<int64_t>::max());
-  int64_t dyn_affected_rows = 0;
-  double dyn_affected_ss = 0.0;
-
-  // Per-group scratch: class counts per code, then prefix scans.
-  std::vector<double> code_class(static_cast<size_t>(width) * num_classes_);
-  std::vector<int64_t> code_count(width);
-  std::vector<int64_t> code_cons;  // per code x cons value
+  double gain = 0.0;
+  double bias = 0.0;
+  double ss_reduction = 0.0;
+  double affected_ss = 0.0;
+  int64_t affected_rows = 0;
+  int64_t min_new = std::numeric_limits<int64_t>::max();
+  bool valid = true;
+  std::vector<double> parent_class(num_classes_);
+  std::vector<std::vector<double>> child_class(
+      n_children, std::vector<double>(num_classes_));
+  std::vector<int64_t> child_count(n_children);
+  std::vector<std::vector<int64_t>> child_cons;
   if (options_.constraint != nullptr) {
-    code_cons.resize(static_cast<size_t>(width) * cons_dom);
+    child_cons.assign(n_children, std::vector<int64_t>(cons_dom));
   }
-  std::vector<double> left_class(num_classes_), right_class(num_classes_);
-  std::vector<int64_t> left_cons(cons_dom), right_cons(cons_dom);
 
   for (int32_t gid : gids) {
     const Group& g = groups_[gid];
-    std::fill(code_class.begin(), code_class.end(), 0.0);
-    std::fill(code_count.begin(), code_count.end(), 0);
-    std::fill(code_cons.begin(), code_cons.end(), 0);
+    std::fill(parent_class.begin(), parent_class.end(), 0.0);
+    std::fill(child_count.begin(), child_count.end(), 0);
+    for (auto& v : child_class) std::fill(v.begin(), v.end(), 0.0);
+    for (auto& v : child_cons) std::fill(v.begin(), v.end(), 0);
+
     for (uint32_t r : g.rows) {
-      const int32_t off = table_.value(r, attr) - s.lo;
-      code_class[static_cast<size_t>(off) * num_classes_ +
-                 class_labels_[r]] += 1.0;
-      code_count[off]++;
+      const int32_t child = code_to_child[table_.value(r, attr) - s.lo];
+      const int32_t cls = class_labels_[r];
+      parent_class[cls] += 1.0;
+      child_class[child][cls] += 1.0;
+      child_count[child]++;
       if (options_.constraint != nullptr) {
-        code_cons[static_cast<size_t>(off) * cons_dom +
-                  table_.value(r, cons_attr)]++;
+        child_cons[child][table_.value(r, cons_attr)]++;
       }
     }
+
+    double child_entropy_rows = 0.0;
+    double child_sq = 0.0;
+    int nonempty_children = 0;
+    for (size_t ci = 0; ci < n_children; ++ci) {
+      if (child_count[ci] == 0) continue;
+      ++nonempty_children;
+      if (child_count[ci] < options_.k) {
+        valid = false;
+        break;
+      }
+      if (options_.constraint != nullptr &&
+          !options_.constraint->Satisfied(child_cons[ci])) {
+        valid = false;
+        break;
+      }
+      min_new = std::min<int64_t>(min_new, child_count[ci]);
+      child_sq += static_cast<double>(child_count[ci]) *
+                  static_cast<double>(child_count[ci]);
+      child_entropy_rows += static_cast<double>(child_count[ci]) *
+                            EntropyFromCounts(child_class[ci]);
+    }
+    if (!valid) break;
     const double n_g = static_cast<double>(g.size());
-    dyn_affected_rows += g.size();
-    dyn_affected_ss += n_g * n_g;
-    // Sweep cuts left to right, maintaining left-side accumulators.
-    std::fill(left_class.begin(), left_class.end(), 0.0);
-    std::fill(left_cons.begin(), left_cons.end(), 0);
-    int64_t left_count = 0;
-    // Parent entropy once.
-    std::vector<double> parent_class(num_classes_, 0.0);
-    for (int32_t off = 0; off < width; ++off) {
-      for (int32_t c = 0; c < num_classes_; ++c) {
-        parent_class[c] += code_class[static_cast<size_t>(off) * num_classes_ + c];
-      }
-    }
-    const double parent_term = n_g * EntropyFromCounts(parent_class);
-
-    for (size_t cut = 0; cut < n_cuts; ++cut) {
-      const int32_t off = static_cast<int32_t>(cut);
-      left_count += code_count[off];
-      for (int32_t c = 0; c < num_classes_; ++c) {
-        left_class[c] += code_class[static_cast<size_t>(off) * num_classes_ + c];
-      }
-      if (options_.constraint != nullptr) {
-        for (int32_t v = 0; v < cons_dom; ++v) {
-          left_cons[v] += code_cons[static_cast<size_t>(off) * cons_dom + v];
-        }
-      }
-      if (!cut_valid[cut]) continue;
-      const int64_t right_count = g.size() - left_count;
-      const bool left_ok = left_count == 0 || left_count >= options_.k;
-      const bool right_ok = right_count == 0 || right_count >= options_.k;
-      if (!left_ok || !right_ok) {
-        cut_valid[cut] = 0;
-        continue;
-      }
-      for (int32_t c = 0; c < num_classes_; ++c) {
-        right_class[c] = parent_class[c] - left_class[c];
-      }
-      if (options_.constraint != nullptr) {
-        // Right-side histogram = group total minus left side.
-        for (int32_t v = 0; v < cons_dom; ++v) right_cons[v] = -left_cons[v];
-        for (int32_t off2 = 0; off2 < width; ++off2) {
-          for (int32_t v = 0; v < cons_dom; ++v) {
-            right_cons[v] += code_cons[static_cast<size_t>(off2) * cons_dom + v];
-          }
-        }
-        if ((left_count > 0 && !options_.constraint->Satisfied(left_cons)) ||
-            (right_count > 0 &&
-             !options_.constraint->Satisfied(right_cons))) {
-          cut_valid[cut] = 0;
-          continue;
-        }
-      }
-      const double left_term =
-          static_cast<double>(left_count) * EntropyFromCounts(left_class);
-      const double right_term =
-          static_cast<double>(right_count) * EntropyFromCounts(right_class);
-      cut_gain[cut] += parent_term - left_term - right_term;
-      cut_ss[cut] += n_g * n_g -
-                     static_cast<double>(left_count) * left_count -
-                     static_cast<double>(right_count) * right_count;
-      if (left_count > 0 && right_count > 0) {
-        cut_bias[cut] += (num_classes_ - 1) / (2.0 * std::log(2.0));
-      }
-      if (left_count > 0) cut_min[cut] = std::min(cut_min[cut], left_count);
-      if (right_count > 0) cut_min[cut] = std::min(cut_min[cut], right_count);
-    }
+    affected_rows += g.size();
+    affected_ss += n_g * n_g;
+    ss_reduction += n_g * n_g - child_sq;
+    gain += n_g * EntropyFromCounts(parent_class) - child_entropy_rows;
+    // Chi-square bias of the empirical entropy gain: under the no-signal
+    // null, 2 ln(2) n ΔH ~ chi^2 with (C-1)(m-1) dof, so the expected
+    // spurious gain is (C-1)(m-1)/(2 ln 2) rows·bits per group.
+    bias += (nonempty_children - 1) * (num_classes_ - 1) /
+            (2.0 * std::log(2.0));
   }
+  if (!valid) return;
 
-  // Pick the best valid cut. cut index `c` puts codes [s.lo, s.lo+c] left.
-  double best_score = -1.0;
-  for (size_t cut = 0; cut < n_cuts; ++cut) {
-    if (!cut_valid[cut]) continue;
-    const double dbg = (cut_gain[cut] - 3.0 * cut_bias[cut]) /
-                       std::max<double>(1.0, static_cast<double>(
-                                                 dyn_affected_rows));
-    const double score =
-        options_.balance_aware
-            ? CombinedScore(dbg, cut_ss[cut], dyn_affected_ss)
-            : cut_gain[cut] /
-                  static_cast<double>(
-                      std::max<int64_t>(0, global_min - cut_min[cut]) + 1);
-    if (score > best_score) {
-      best_score = score;
-      cand->valid = true;
-      cand->cut = s.lo + static_cast<int32_t>(cut) + 1;
-      cand->gain = cut_gain[cut];
-      cand->min_new_size = cut_min[cut];
-      cand->ss_reduction = cut_ss[cut];
-      cand->gain_per_row =
-          dyn_affected_rows > 0
-              ? (cut_gain[cut] - 3.0 * cut_bias[cut]) /
-                    static_cast<double>(dyn_affected_rows)
-              : 0.0;
-      cand->score = CombinedScore(cand->gain_per_row, cut_ss[cut],
-                                  dyn_affected_ss);
-      best_score = std::max(best_score, cand->score);
-    }
+  cand->valid = true;
+  cand->taxonomy_node = node_id;
+  cand->gain = gain;
+  cand->min_new_size = min_new;
+  cand->ss_reduction = ss_reduction;
+  // Significance-debiased gain (chi-square null correction, x3 margin).
+  cand->gain_per_row =
+      affected_rows > 0
+          ? (gain - 3.0 * bias) / static_cast<double>(affected_rows)
+          : 0.0;
+  if (options_.balance_aware) {
+    cand->score =
+        CombinedScore(cand->gain_per_row, ss_reduction, affected_ss);
+  } else {
+    const int64_t loss = std::max<int64_t>(0, global_min - min_new);
+    cand->score = gain / static_cast<double>(loss + 1);
   }
 }
 
@@ -372,7 +215,11 @@ void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
                                const Candidate& cand) {
   const AttributeRecoding& rec = recodings_[attr_idx];
   const Interval s = rec.GenInterval(rec.GenOf(lo));
-  const std::vector<Interval> children = ChildIntervals(attr_idx, s, cand);
+  const Taxonomy* tax = taxonomies_[attr_idx];
+  std::vector<Interval> children;
+  for (int c : tax->node(cand.taxonomy_node).children) {
+    children.push_back(tax->node(c).range);
+  }
   PGPUB_CHECK_GE(children.size(), 2u);
 
   // Update the recoding.
@@ -446,14 +293,20 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
     return Status::FailedPrecondition(
         "table has fewer rows than k; no k-anonymous publication exists");
   }
+  if (taxonomies_.size() != qi_attrs_.size()) {
+    return Status::InvalidArgument(
+        "need one taxonomy per QI attribute, got " +
+        std::to_string(taxonomies_.size()) + " for " +
+        std::to_string(qi_attrs_.size()));
+  }
   for (size_t i = 0; i < qi_attrs_.size(); ++i) {
-    if (taxonomies_[i] != nullptr) {
-      if (taxonomies_[i]->domain_size() !=
-          table_.domain(qi_attrs_[i]).size()) {
-        return Status::InvalidArgument(
-            "taxonomy domain size mismatch on attribute " +
-            table_.schema().attribute(qi_attrs_[i]).name);
-      }
+    const std::string& name = table_.schema().attribute(qi_attrs_[i]).name;
+    if (taxonomies_[i] == nullptr) {
+      return Status::InvalidArgument("no taxonomy for QI attribute " + name);
+    }
+    if (taxonomies_[i]->domain_size() != table_.domain(qi_attrs_[i]).size()) {
+      return Status::InvalidArgument(
+          "taxonomy domain size mismatch on attribute " + name);
     }
   }
 

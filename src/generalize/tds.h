@@ -60,25 +60,26 @@ struct TdsOptions {
 /// Starts from the fully generalized table (every QI attribute collapsed to
 /// one value) and greedily applies the valid specialization with the best
 /// score = InfoGain / (AnonyLoss + 1), until none remains. A specialization
-/// replaces one generalized value of one attribute by (a) its taxonomy
-/// children, or (b) for attributes without a taxonomy, the best binary
-/// interval split chosen by information gain on `class_labels` — the
-/// treatment of continuous attributes in the original TDS.
+/// replaces one generalized value of one attribute by its taxonomy
+/// children.
 ///
 /// The result satisfies G1 (same cardinality, tuple-wise generalization),
 /// G2 (k-anonymity) and G3 (global recoding) from Section IV of the paper.
 class TopDownSpecializer {
  public:
-  /// `taxonomies` is parallel to `qi_attrs`; entries may be nullptr to
-  /// request data-driven binary splits. `class_labels` (one label in
+  /// `taxonomies` is parallel to `qi_attrs`, one taxonomy per attribute
+  /// (Run() rejects a null entry). `class_labels` (one label in
   /// [0, num_classes) per row) drives the information-gain score.
   TopDownSpecializer(const Table& table, std::vector<int> qi_attrs,
                      std::vector<const Taxonomy*> taxonomies,
                      std::vector<int32_t> class_labels, int num_classes,
                      TdsOptions options);
 
-  /// Runs the search. Fails with FailedPrecondition when even the fully
-  /// generalized table violates k-anonymity (n < k) or the constraint.
+  /// Runs the search. Fails with InvalidArgument when the taxonomy count
+  /// differs from the QI count, or a taxonomy is null or does not cover
+  /// its attribute's domain, and with
+  /// FailedPrecondition when even the fully generalized table violates
+  /// k-anonymity (n < k) or the constraint.
   [[nodiscard]] Result<GlobalRecoding> Run();
 
   /// Number of specializations applied by the last Run().
@@ -107,8 +108,7 @@ class TopDownSpecializer {
     int64_t max_affected_group = 0;
     double ss_reduction = 0.0;
     double gain_per_row = 0.0;
-    int taxonomy_node = -1;  ///< >=0: specialize by this node's children.
-    int32_t cut = -1;        ///< >=0: binary split, first code of the right part.
+    int taxonomy_node = -1;  ///< Taxonomy node whose children it splits into.
   };
 
   static uint64_t CandidateKey(int attr_idx, int32_t lo) {
@@ -125,10 +125,6 @@ class TopDownSpecializer {
 
   /// Applies a winning candidate; updates recoding, groups, and dirt.
   void Apply(int attr_idx, int32_t lo, const Candidate& cand);
-
-  /// Child intervals a candidate splits segment `s` into.
-  std::vector<Interval> ChildIntervals(int attr_idx, const Interval& s,
-                                       const Candidate& cand) const;
 
   bool ConstraintOk(const std::vector<int64_t>& hist) const;
 

@@ -7,6 +7,7 @@
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
 #include "datagen/hospital.h"
+#include "hierarchy/taxonomy.h"
 #include "common/math_util.h"
 #include "perturb/randomized_response.h"
 
@@ -339,8 +340,8 @@ TEST(LinkingAttackTest, OwnershipProbabilityMatchesMonteCarlo) {
   options.seed = 77;
   options.keep_provenance = true;
   PgPublisher publisher(options);
-  PublishedTable published =
-      publisher.Publish(t, {nullptr}).ValueOrDie();
+  const Taxonomy q = Taxonomy::Flat(1, "*");
+  PublishedTable published = publisher.Publish(t, {&q}).ValueOrDie();
   Rng edb_rng(1);
   ExternalDatabase edb = ExternalDatabase::FromMicrodata(t, 0, edb_rng);
   LinkingAttack attacker =
@@ -394,7 +395,8 @@ TEST(LinkingAttackTest, PosteriorMatchesConditionalSimulation) {
   options.p = p;
   options.seed = 9;
   PgPublisher publisher(options);
-  PublishedTable published = publisher.Publish(t, {nullptr}).ValueOrDie();
+  const Taxonomy q = Taxonomy::Flat(1, "*");
+  PublishedTable published = publisher.Publish(t, {&q}).ValueOrDie();
   Rng edb_rng(2);
   ExternalDatabase edb = ExternalDatabase::FromMicrodata(t, 0, edb_rng);
   LinkingAttack attacker =

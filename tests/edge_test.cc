@@ -9,6 +9,7 @@
 #include "datagen/hospital.h"
 #include "generalize/metrics.h"
 #include "generalize/tds.h"
+#include "hierarchy/taxonomy.h"
 #include "mining/evaluate.h"
 
 namespace pgpub {
@@ -87,7 +88,8 @@ TEST(EdgeTest, SingleQiAttributeTable) {
   options.k = 10;
   options.p = 0.4;
   PgPublisher publisher(options);
-  PublishedTable published = publisher.Publish(t, {nullptr}).ValueOrDie();
+  const Taxonomy q = Taxonomy::Binary(16, "*");
+  PublishedTable published = publisher.Publish(t, {&q}).ValueOrDie();
   EXPECT_TRUE(VerifyPublication(t, published).ok());
   EXPECT_GE(published.num_rows(), 2u);
 }
@@ -112,7 +114,8 @@ TEST(EdgeTest, SensitiveDomainOfTwo) {
   options.k = 5;
   options.p = 0.3;
   PgPublisher publisher(options);
-  PublishedTable published = publisher.Publish(t, {nullptr}).ValueOrDie();
+  const Taxonomy q = Taxonomy::Binary(8, "*");
+  PublishedTable published = publisher.Publish(t, {&q}).ValueOrDie();
   PgParams params{0.3, 5, 0.5, 2};
   EXPECT_GT(MinDelta(params), 0.0);
   EXPECT_LT(MinDelta(params), 1.0);
@@ -229,7 +232,8 @@ TEST(EdgeTest, TdsOnConstantClassLabelsStillRefines) {
   std::vector<int32_t> constant(t.num_rows(), 0);
   TdsOptions options;
   options.k = 8;
-  TopDownSpecializer tds(t, {0}, {nullptr}, constant, 2, options);
+  const Taxonomy q = Taxonomy::Binary(32, "*");
+  TopDownSpecializer tds(t, {0}, {&q}, constant, 2, options);
   GlobalRecoding rec = tds.Run().ValueOrDie();
   EXPECT_GT(rec.per_attr[0].num_gen_values(), 1);
   EXPECT_TRUE(IsKAnonymous(ComputeQiGroups(t, rec), 8));
@@ -258,7 +262,9 @@ TEST(EdgeTest, TdsSingleCodeDomainAttribute) {
   Table t = Table::Create(schema, domains, std::move(cols)).ValueOrDie();
   TdsOptions options;
   options.k = 5;
-  TopDownSpecializer tds(t, {0, 1}, {nullptr, nullptr}, t.column(2), 3,
+  const Taxonomy constant = Taxonomy::Binary(1, "*");
+  const Taxonomy q = Taxonomy::Binary(10, "*");
+  TopDownSpecializer tds(t, {0, 1}, {&constant, &q}, t.column(2), 3,
                          options);
   GlobalRecoding rec = tds.Run().ValueOrDie();
   EXPECT_EQ(rec.per_attr[0].num_gen_values(), 1);

@@ -341,66 +341,6 @@ TEST(CachePoisoningTest, CollidedRecodingFailsClosed) {
   EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
 }
 
-/// Counts the Phase-2 state the publisher asks its hooks for.
-class CountingHooks : public PublishHooks {
- public:
-  const columnar::QiIndex* qi_index() override {
-    ++qi_index_calls;
-    return nullptr;
-  }
-  columnar::ScratchPool* scratch_pool() override {
-    ++scratch_pool_calls;
-    return nullptr;
-  }
-
-  int qi_index_calls = 0;
-  int scratch_pool_calls = 0;
-};
-
-TEST(PublishHooksTest, OnlyIncognitoAsksForColumnarState) {
-  // TDS scans rows, so a TDS-only tenant must never make its engine build
-  // a QI index; Incognito folds over it and asks every cold search.
-  CensusDataset census = GenerateCensus(600, 9).ValueOrDie();
-  PgOptions options;
-  options.k = 8;
-  options.p = 0.3;
-  CountingHooks tds_hooks;
-  ASSERT_TRUE(PgPublisher(options)
-                  .Publish(census.table, census.TaxonomyPointers(),
-                           &tds_hooks)
-                  .ok());
-  EXPECT_EQ(tds_hooks.qi_index_calls, 0);
-  EXPECT_EQ(tds_hooks.scratch_pool_calls, 0);
-
-  const std::vector<int> qi = {CensusColumns::kAge, CensusColumns::kGender,
-                               CensusColumns::kIncome};
-  Schema schema;
-  schema.AddAttribute(
-      {"Age", AttributeType::kNumeric, AttributeRole::kQuasiIdentifier});
-  schema.AddAttribute({"Gender", AttributeType::kCategorical,
-                       AttributeRole::kQuasiIdentifier});
-  schema.AddAttribute(
-      {"Income", AttributeType::kNumeric, AttributeRole::kSensitive});
-  std::vector<AttributeDomain> domains;
-  std::vector<std::vector<int32_t>> cols;
-  for (int a : qi) {
-    domains.push_back(census.table.domain(a));
-    cols.push_back(census.table.column(a));
-  }
-  const Table narrow =
-      Table::Create(schema, domains, std::move(cols)).ValueOrDie();
-  options.generalizer = PgOptions::Generalizer::kIncognito;
-  CountingHooks inc_hooks;
-  ASSERT_TRUE(PgPublisher(options)
-                  .Publish(narrow,
-                           {&census.taxonomies[CensusColumns::kAge],
-                            &census.taxonomies[CensusColumns::kGender]},
-                           &inc_hooks)
-                  .ok());
-  EXPECT_EQ(inc_hooks.qi_index_calls, 1);
-  EXPECT_EQ(inc_hooks.scratch_pool_calls, 1);
-}
-
 // ------------------------------------------------------------ batching
 
 TEST(PublishBatchTest, BatchIsAFunctionOfRequestsAndBatchSeed) {

@@ -195,27 +195,6 @@ TEST(TdsTest, FailsWhenFewerRowsThanK) {
   EXPECT_TRUE(tds.Run().status().IsFailedPrecondition());
 }
 
-TEST(TdsTest, DynamicBinarySplitsWithoutTaxonomy) {
-  Fixture f = MakeFixture(800, 9);
-  TdsOptions opt;
-  opt.k = 5;
-  TopDownSpecializer tds(f.table, f.qi, {nullptr, nullptr},
-                         f.table.column(f.sens), 5, opt);
-  GlobalRecoding rec = tds.Run().ValueOrDie();
-  EXPECT_TRUE(IsKAnonymous(GroupsOf(f, rec), 5));
-  EXPECT_GT(tds.num_specializations(), 0);
-}
-
-TEST(TdsTest, MixedTaxonomyAndDynamic) {
-  Fixture f = MakeFixture(600, 10);
-  TdsOptions opt;
-  opt.k = 4;
-  TopDownSpecializer tds(f.table, f.qi, {&f.tax_a, nullptr},
-                         f.table.column(f.sens), 5, opt);
-  GlobalRecoding rec = tds.Run().ValueOrDie();
-  EXPECT_TRUE(IsKAnonymous(GroupsOf(f, rec), 4));
-}
-
 TEST(TdsTest, DeterministicAcrossRuns) {
   Fixture f = MakeFixture(500, 11);
   TdsOptions opt;
@@ -261,13 +240,27 @@ TEST(TdsTest, UnsatisfiableConstraintFailsUpfront) {
 }
 
 TEST(TdsTest, TaxonomyDomainMismatchRejected) {
+  // A taxonomy of the wrong width and a missing (null) taxonomy are both
+  // typed input errors that name the attribute, never aborts.
   Fixture f = MakeFixture(100, 14);
   Taxonomy wrong = Taxonomy::Binary(5, "wrong");
   TdsOptions opt;
   opt.k = 2;
-  TopDownSpecializer tds(f.table, f.qi, {&wrong, &f.tax_b},
-                         f.table.column(f.sens), 5, opt);
-  EXPECT_TRUE(tds.Run().status().IsInvalidArgument());
+  for (const std::vector<const Taxonomy*>& taxonomies :
+       {std::vector<const Taxonomy*>{&wrong, &f.tax_b},
+        std::vector<const Taxonomy*>{nullptr, &f.tax_b},
+        std::vector<const Taxonomy*>{&f.tax_a, nullptr}}) {
+    TopDownSpecializer tds(f.table, f.qi, taxonomies,
+                           f.table.column(f.sens), 5, opt);
+    const Status status = tds.Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    const std::string attr = taxonomies[0] == &f.tax_a ? "B" : "A";
+    EXPECT_NE(status.message().find("attribute " + attr), std::string::npos)
+        << status.ToString();
+  }
+  TopDownSpecializer too_few(f.table, f.qi, {&f.tax_a},
+                             f.table.column(f.sens), 5, opt);
+  EXPECT_TRUE(too_few.Run().status().IsInvalidArgument());
 }
 
 // -------------------------------------------------------------- Incognito

@@ -19,7 +19,6 @@
 
 #include "common/parallel/thread_pool.h"
 #include "common/random.h"
-#include "core/columnar/arena.h"
 #include "core/columnar/qi_index.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
@@ -255,8 +254,9 @@ TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnRandomTables) {
   // ~200 random (table, depths, k) triples, including empty tables and
   // depths beyond the taxonomy height (both sides clamp identically).
   // The naive side is the exact row-wise oracle the counter replaces.
+  // Every probe folds on this one thread, so its thread-local scratch is
+  // reused across counters of different cell counts.
   Rng rng(4242);
-  columnar::ScratchPool pool;
   for (int trial = 0; trial < 200; ++trial) {
     const RandomLattice lat = MakeRandomLattice(rng);
     std::vector<const Taxonomy*> tax_ptrs;
@@ -275,9 +275,7 @@ TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnRandomTables) {
           ComputeQiGroups(lat.table,
                           RecodingAtDepths(lat.qi_attrs, tax_ptrs, depths)),
           k);
-      columnar::ScratchPool::Lease lease = pool.Acquire();
-      const bool columnar_verdict =
-          counter.IsKAnonymousAtDepths(depths, k, lease.get());
+      const bool columnar_verdict = counter.IsKAnonymousAtDepths(depths, k);
       ASSERT_EQ(naive, columnar_verdict)
           << "trial " << trial << " probe " << probe << " k=" << k
           << " rows=" << lat.table.num_rows();
@@ -311,7 +309,6 @@ TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
   for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
   const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
   const columnar::LatticeCounter counter(&index, tax_ptrs);
-  columnar::ScratchPool pool;
   for (std::vector<int> depths :
        {std::vector<int>{0, 0, 0, 0}, std::vector<int>{1, 0, 0, 0},
         std::vector<int>{2, 1, 0, 3}}) {
@@ -319,8 +316,7 @@ TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
       const bool naive = IsKAnonymous(
           ComputeQiGroups(table, RecodingAtDepths(qi_attrs, tax_ptrs, depths)),
           k);
-      columnar::ScratchPool::Lease lease = pool.Acquire();
-      EXPECT_EQ(naive, counter.IsKAnonymousAtDepths(depths, k, lease.get()))
+      EXPECT_EQ(naive, counter.IsKAnonymousAtDepths(depths, k))
           << "k=" << k;
     }
   }
@@ -353,7 +349,6 @@ TEST(Phase2EquivalenceTest, LatticeCounterRefinesWideCellSpacesExactly) {
   for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
   const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
   const columnar::LatticeCounter counter(&index, tax_ptrs);
-  columnar::ScratchPool pool;
   for (std::vector<int> depths :
        {std::vector<int>(8, 1), std::vector<int>{1, 1, 1, 1, 1, 1, 1, 0},
         std::vector<int>{0, 1, 1, 1, 1, 1, 1, 1}}) {
@@ -367,9 +362,7 @@ TEST(Phase2EquivalenceTest, LatticeCounterRefinesWideCellSpacesExactly) {
       smallest = std::min(smallest, count);
     }
     for (int64_t k : {int64_t{1}, smallest, smallest + 1}) {
-      columnar::ScratchPool::Lease lease = pool.Acquire();
-      EXPECT_EQ(counter.IsKAnonymousAtDepths(depths, static_cast<int>(k),
-                                             lease.get()),
+      EXPECT_EQ(counter.IsKAnonymousAtDepths(depths, static_cast<int>(k)),
                 k <= smallest)
           << "k=" << k;
     }
@@ -546,30 +539,6 @@ TEST(Phase2EquivalenceTest, IncognitoPruningMatchesReferenceWalk) {
   // The sweep must exercise both sides of the rule.
   EXPECT_GT(total_checks, 0u);
   EXPECT_GT(total_implied, 0u);
-}
-
-TEST(Phase2EquivalenceTest, IncognitoScratchPoolIsReusedAcrossSearches) {
-  CensusDataset census = GenerateCensus(1200, 23).ValueOrDie();
-  const std::vector<int> qi_attrs = {CensusColumns::kAge,
-                                     CensusColumns::kGender};
-  const std::vector<const Taxonomy*> tax_ptrs = {
-      &census.taxonomies[CensusColumns::kAge],
-      &census.taxonomies[CensusColumns::kGender]};
-
-  columnar::ScratchPool pool;
-  IncognitoOptions options;
-  options.k = 8;
-  options.scratch = &pool;
-
-  GlobalRecoding first =
-      IncognitoSearch(census.table, qi_attrs, tax_ptrs, options).ValueOrDie();
-  const uint64_t created_before = pool.scratches_created();
-  GlobalRecoding second =
-      IncognitoSearch(census.table, qi_attrs, tax_ptrs, options).ValueOrDie();
-  // The serial search needs exactly the scratches it already pooled.
-  EXPECT_EQ(pool.scratches_created(), created_before);
-  EXPECT_EQ(ComputeQiGroups(census.table, first).num_groups(),
-            ComputeQiGroups(census.table, second).num_groups());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
@@ -355,6 +356,12 @@ TEST(PgPublisherTest, RejectsWrongTaxonomyCount) {
   EXPECT_TRUE(publisher.Publish(census.table, {})
                   .status()
                   .IsInvalidArgument());
+  // The right count with a null entry is rejected the same way.
+  std::vector<const Taxonomy*> with_null = census.TaxonomyPointers();
+  with_null[1] = nullptr;
+  EXPECT_TRUE(publisher.Publish(census.table, with_null)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(PgPublisherTest, RejectsTablesWithoutSensitiveAttribute) {
@@ -367,7 +374,8 @@ TEST(PgPublisherTest, RejectsTablesWithoutSensitiveAttribute) {
   PgOptions options;
   options.p = 0.5;
   PgPublisher publisher(options);
-  EXPECT_TRUE(publisher.Publish(t, {nullptr})
+  const Taxonomy q = Taxonomy::Binary(4, "*");
+  EXPECT_TRUE(publisher.Publish(t, {&q})
                   .status()
                   .IsFailedPrecondition());
 }

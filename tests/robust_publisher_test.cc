@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -150,15 +151,19 @@ TEST(ValidatePublishInputsTest, RejectsTaxonomyDomainMismatch) {
   CensusDataset census = GenerateCensus(800, 3).ValueOrDie();
   std::vector<const Taxonomy*> taxonomies = census.TaxonomyPointers();
   Taxonomy wrong = Taxonomy::Binary(3, "wrong");
-  taxonomies[0] = &wrong;
-  Status st =
-      ValidatePublishInputs(census.table, taxonomies, SolvedOptions());
-  EXPECT_TRUE(st.IsInvalidArgument());
-  // The error names the offending attribute so operators can fix the file.
-  EXPECT_NE(st.message().find(
-                census.table.schema().attribute(0).name),
-            std::string::npos)
-      << st.ToString();
+  // A wrong-width taxonomy and a missing (null) one alike.
+  for (const Taxonomy* bad : {static_cast<const Taxonomy*>(&wrong),
+                              static_cast<const Taxonomy*>(nullptr)}) {
+    taxonomies[0] = bad;
+    Status st =
+        ValidatePublishInputs(census.table, taxonomies, SolvedOptions());
+    EXPECT_TRUE(st.IsInvalidArgument());
+    // The error names the offending attribute so operators can fix the
+    // file.
+    EXPECT_NE(st.message().find(census.table.schema().attribute(0).name),
+              std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(ValidatePublishInputsTest, RejectsTooFewRows) {
@@ -295,18 +300,31 @@ TEST(RobustPublisherTest, UnlimitedBudgetStillRetriesToSuccess) {
 }
 
 TEST(RobustPublisherTest, ReportCapturesPermanentFailure) {
+  // Bad options, and a null taxonomy entry: both fail before any attempt.
   CensusDataset census = GenerateCensus(200, 5).ValueOrDie();
-  PgOptions options;
-  options.s = -1.0;
-  options.p = 0.3;
-  RobustPublisher publisher(options);
-  PublishReport report;
-  Result<PublishedTable> result =
-      publisher.Publish(census.table, census.TaxonomyPointers(), &report);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(report.final_status, result.status());
-  EXPECT_TRUE(report.attempts.empty());
-  EXPECT_FALSE(report.audit_clean);
+  PgOptions bad_options;
+  bad_options.s = -1.0;
+  bad_options.p = 0.3;
+  PgOptions good_options;
+  good_options.k = 4;
+  good_options.p = 0.3;
+  std::vector<const Taxonomy*> with_null = census.TaxonomyPointers();
+  with_null.back() = nullptr;
+  const std::vector<std::pair<PgOptions, std::vector<const Taxonomy*>>>
+      cases = {{bad_options, census.TaxonomyPointers()},
+               {good_options, with_null}};
+  for (const auto& [options, taxonomies] : cases) {
+    RobustPublisher publisher(options);
+    PublishReport report;
+    Result<PublishedTable> result =
+        publisher.Publish(census.table, taxonomies, &report);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+    EXPECT_EQ(report.final_status, result.status());
+    EXPECT_TRUE(report.attempts.empty());
+    EXPECT_FALSE(report.audit_clean);
+  }
 }
 
 }  // namespace

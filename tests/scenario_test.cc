@@ -66,13 +66,33 @@ TEST(BreachHarnessOptionsTest, ValidateIsTheOneHomeOfTheRules) {
 
 TEST(BreachScenarioTest, RunRejectsWhatValidateRejects) {
   PinnedCell cell;
-  cell.options.harness.rho1 = 1.5;
   CorruptionLinkingAdversary adversary;
+  ScenarioOptions bad_options = cell.options;
+  bad_options.harness.rho1 = 1.5;
   EXPECT_TRUE(
       BreachScenario::Run(cell.publisher, adversary, cell.dataset,
-                          cell.options)
+                          bad_options)
           .status()
           .IsInvalidArgument());
+
+  // A dataset with a null or a missing QI taxonomy is an input error for
+  // PG and for the conventional generalization alike.
+  ScenarioDataset null_taxonomy = cell.dataset;
+  null_taxonomy.taxonomies[0] = nullptr;
+  ScenarioDataset too_few_taxonomies = cell.dataset;
+  too_few_taxonomies.taxonomies.pop_back();
+  const GeneralizationScenarioPublisher optimistic;
+  for (const ScenarioDataset* dataset : {&null_taxonomy, &too_few_taxonomies}) {
+    for (const Publisher* publisher :
+         {static_cast<const Publisher*>(&cell.publisher),
+          static_cast<const Publisher*>(&optimistic)}) {
+      const Status status =
+          BreachScenario::Run(*publisher, adversary, *dataset, cell.options)
+              .status();
+      EXPECT_TRUE(status.IsInvalidArgument())
+          << publisher->name() << ": " << status.ToString();
+    }
+  }
 }
 
 TEST(BreachScenarioTest, StatsBitIdenticalAcrossThreadCounts) {

@@ -71,36 +71,6 @@ bool CheckMetricsSection(const JsonValue& metrics, const std::string& file,
   return ok;
 }
 
-/// Cache-provenance fields (written by throughput_engine and any future
-/// cache-carrying bench): when a results row carries one, the counters
-/// must be integers and the hit rate a number in [0, 1]. Rows without
-/// them (non-caching benches) are fine.
-bool CheckCacheFields(const JsonValue& row, const std::string& file,
-                      std::string* errors) {
-  bool ok = true;
-  for (const char* key : {"cache_hits", "cache_misses", "cache_evictions"}) {
-    const JsonValue* v = row.Find(key);
-    if (v != nullptr && !v->is_integer()) {
-      *errors += file + ": results member '" + key + "' is not an integer\n";
-      ok = false;
-    }
-  }
-  if (const JsonValue* rate = row.Find("cache_hit_rate"); rate != nullptr) {
-    if (!rate->is_number()) {
-      *errors += file + ": results member 'cache_hit_rate' is not a number\n";
-      ok = false;
-    } else {
-      const double v = rate->AsDouble().ok() ? *rate->AsDouble() : -1.0;
-      if (!(v >= 0.0 && v <= 1.0)) {
-        *errors += file + ": results member 'cache_hit_rate' " +
-                   std::to_string(v) + " is outside [0, 1]\n";
-        ok = false;
-      }
-    }
-  }
-  return ok;
-}
-
 /// Serving-latency fields (written by load_server and any future
 /// serving bench): latency percentiles must be non-negative numbers and
 /// the rejection rate a number in [0, 1]. Rows without them are fine.
@@ -182,7 +152,6 @@ bool CheckFile(const std::string& file) {
           errors += file + ": results row is not an object\n";
           break;
         }
-        CheckCacheFields(row, file, &errors);
         CheckServingFields(row, file, &errors);
       }
       CheckMetricsSection(*doc.Find("metrics"), file, &errors);
