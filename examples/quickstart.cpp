@@ -173,8 +173,8 @@ int main(int argc, char** argv) {
   q[microdata.domain(sens).dict().Lookup("pneumonia").ValueOrDie()] = true;
   std::printf("P_prior(Q=respiratory) = %.4f\n",
               adversary.victim_prior.Confidence(q).ValueOrDie());
-  std::printf("P_post(Q=respiratory)  = %.4f\n", attack.Confidence(q).ValueOrDie());
+  std::printf("P_post(Q=respiratory)  = %.4f\n", Confidence(attack.posterior, q).ValueOrDie());
   std::printf("max growth over any Q  = %.4f (bound %.4f)\n",
-              attack.MaxGrowth(adversary.victim_prior).ValueOrDie(), MinDelta(params));
+              MaxGrowth(attack.posterior, adversary.victim_prior).ValueOrDie(), MinDelta(params));
   return 0;
 }

@@ -1,11 +1,9 @@
 #include "attack/adversaries.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
-#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "perturb/randomized_response.h"
 
@@ -55,67 +53,91 @@ Status RequireGen(const AttackContext& context) {
   return Status::OK();
 }
 
-/// One corruption-aided linking trial against a PG release, with the
-/// corruption rate and prior kind as parameters so the worst-case
-/// adversary can reuse it. Its draw sequence is pinned by the seed-42
-/// scenario goldens.
-Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
-                                    double corruption_rate,
-                                    BreachHarnessOptions::PriorKind kind) {
-  RETURN_IF_ERROR(RequirePg(context));
-  const BreachHarnessOptions& options = *context.options;
-  const PublishedTable& published = *context.release->pg;
-  const ExternalDatabase& edb = *context.edb;
-  const Table& microdata = *context.microdata;
-  const int sens = context.sensitive_attr;
-  const int32_t us = context.us;
-  const double lambda = std::max(options.lambda, 1.0 / us);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+/// Folds a trial's posterior into its outcome: the best-predicate growth,
+/// the optimal adversary's posterior confidence under prior <= ρ₁ (exact
+/// knapsack; the greedy heuristic is a lower bound of it), and whether the
+/// posterior collapsed to a point.
+Result<TrialOutcome> FoldOutcome(const std::vector<double>& posterior,
+                                 const BackgroundKnowledge& prior, double h,
+                                 double rho1) {
+  TrialOutcome out;
+  out.h = h;
+  ASSIGN_OR_RETURN(out.growth, MaxGrowth(posterior, prior));
+  ASSIGN_OR_RETURN(out.posterior_rho1,
+                   MaxPosteriorGivenPriorBoundExact(posterior, prior, rho1));
+  out.point_mass = PosteriorSupport(posterior) == 1;
+  return out;
+}
 
+/// A PG trial's victim: a uniformly drawn microdata member of ℰ, its
+/// crucial row from the linker's index, and the harness prior about it.
+struct PgVictim {
+  size_t index = 0;  ///< ℰ index.
+  uint32_t microdata_row = 0;
+  size_t crucial_row = 0;
+  BackgroundKnowledge prior;
+};
+
+/// Draws the victim, then the prior — the draw sequence every PG trial
+/// shares, pinned by the seed-42 scenario goldens.
+Result<PgVictim> DrawPgVictim(const AttackContext& context, Rng& rng,
+                              BreachHarnessOptions::PriorKind kind) {
   const std::vector<size_t>& members = *context.members;
-  const size_t victim = members[rng.UniformU64(members.size())];
-  const Individual& victim_ind = edb.individual(victim);
-  const int32_t true_value = microdata.value(victim_ind.microdata_row, sens);
-
-  Adversary adv;
-  ASSIGN_OR_RETURN(adv.victim_prior,
-                   MakePrior(kind, us, true_value, lambda, rng));
-
-  // Corrupt candidates sharing the victim's published cell (the most
-  // damaging corruption targets).
-  auto crucial = published.CrucialTuple(victim_ind.qi_codes);
+  PgVictim victim;
+  victim.index = members[rng.UniformU64(members.size())];
+  victim.microdata_row = static_cast<uint32_t>(
+      context.edb->individual(victim.index).microdata_row);
+  const int32_t true_value =
+      context.microdata->value(victim.microdata_row, context.sensitive_attr);
+  ASSIGN_OR_RETURN(victim.prior,
+                   MakePrior(kind, context.us, true_value,
+                             context.options->lambda, rng));
+  auto crucial = context.linker->CrucialRow(victim.index);
   if (!crucial.ok()) {
     return crucial.status().WithContext(
         "microdata member has no crucial tuple");
   }
-  uint64_t candidate_set = 1;  // the victim itself
-  for (size_t i = 0; i < edb.size(); ++i) {
-    if (i == victim) continue;
-    auto other = published.CrucialTuple(edb.individual(i).qi_codes);
-    if (!other.ok() || *other != *crucial) continue;
-    ++candidate_set;
-    metrics.GetCounter("attack.corruption_draws")->Add();
+  victim.crucial_row = *crucial;
+  return victim;
+}
+
+/// One corruption-aided linking trial against a PG release, with the
+/// corruption rate and prior kind as parameters so the worst-case
+/// adversary can reuse it.
+Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
+                                    double corruption_rate,
+                                    BreachHarnessOptions::PriorKind kind) {
+  RETURN_IF_ERROR(RequirePg(context));
+  const ExternalDatabase& edb = *context.edb;
+  const Table& microdata = *context.microdata;
+  const int sens = context.sensitive_attr;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+
+  ASSIGN_OR_RETURN(PgVictim victim, DrawPgVictim(context, rng, kind));
+  Adversary adv;
+  adv.victim_prior = std::move(victim.prior);
+
+  // Corrupt candidates sharing the victim's published cell (the most
+  // damaging corruption targets), one coin per candidate in ℰ order.
+  const std::vector<uint32_t>& candidates =
+      context.linker->Candidates(victim.crucial_row);
+  for (uint32_t i : candidates) {
+    if (i == victim.index) continue;
     if (!rng.Bernoulli(corruption_rate)) continue;
     const Individual& ind = edb.individual(i);
     adv.corrupted[i] = ind.extraneous()
                            ? Adversary::kExtraneousMark
                            : microdata.value(ind.microdata_row, sens);
   }
-  metrics.GetHistogram("attack.candidate_set")->Observe(candidate_set);
+  metrics.GetHistogram("attack.candidate_set")->Observe(candidates.size());
+  metrics.GetCounter("attack.corruption_draws")->Add(candidates.size() - 1);
   metrics.GetCounter("attack.corrupted")->Add(adv.corrupted.size());
 
-  ASSIGN_OR_RETURN(AttackResult result, context.linker->Attack(victim, adv));
+  ASSIGN_OR_RETURN(AttackResult result,
+                   context.linker->Attack(victim.index, adv));
   metrics.GetCounter("attack.attacks")->Add();
-  TrialOutcome out;
-  out.h = result.h;
-  ASSIGN_OR_RETURN(out.growth, result.MaxGrowth(adv.victim_prior));
-  // Optimal adversary: exact knapsack over predicates with prior <=
-  // rho1 (the greedy heuristic is a lower bound of this).
-  ASSIGN_OR_RETURN(out.posterior_rho1,
-                   result.MaxPosteriorGivenPriorBoundExact(adv.victim_prior,
-                                                           options.rho1));
-  out.point_mass = PosteriorSupport(result.posterior) == 1;
-  return out;
+  return FoldOutcome(result.posterior, adv.victim_prior, result.h,
+                     context.options->rho1);
 }
 
 /// One corruption trial against a conventional generalization,
@@ -124,31 +146,29 @@ Result<TrialOutcome> GenTrial(const AttackContext& context, Rng& rng,
                               double corruption_rate,
                               BreachHarnessOptions::PriorKind kind) {
   RETURN_IF_ERROR(RequireGen(context));
-  const BreachHarnessOptions& options = *context.options;
   const Table& microdata = *context.microdata;
   const QiGroups& groups = *context.groups;
   const int sens = context.sensitive_attr;
-  const int32_t us = context.us;
-  const size_t n = microdata.num_rows();
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
 
-  const uint32_t victim_row = static_cast<uint32_t>(rng.UniformU64(n));
+  const uint32_t victim_row =
+      static_cast<uint32_t>(rng.UniformU64(microdata.num_rows()));
   const int32_t true_value = microdata.value(victim_row, sens);
   const auto& group_rows = groups.group_rows[groups.row_to_group[victim_row]];
 
   ASSIGN_OR_RETURN(BackgroundKnowledge prior,
-                   MakePrior(kind, us, true_value,
-                             std::max(options.lambda, 1.0 / us), rng));
+                   MakePrior(kind, context.us, true_value,
+                             context.options->lambda, rng));
 
   metrics.GetHistogram("attack.candidate_set")->Observe(group_rows.size());
   std::vector<uint32_t> corrupted;
   for (uint32_t r : group_rows) {
     if (r == victim_row) continue;
-    metrics.GetCounter("attack.corruption_draws")->Add();
     if (rng.Bernoulli(corruption_rate)) {
       corrupted.push_back(r);
     }
   }
+  metrics.GetCounter("attack.corruption_draws")->Add(group_rows.size() - 1);
   metrics.GetCounter("attack.corrupted")->Add(corrupted.size());
   metrics.GetCounter("attack.attacks")->Add();
 
@@ -156,22 +176,9 @@ Result<TrialOutcome> GenTrial(const AttackContext& context, Rng& rng,
       std::vector<double> post,
       GeneralizationAttackPosterior(microdata, group_rows, sens, victim_row,
                                     corrupted, prior));
-
-  TrialOutcome out;
-  double growth = 0.0;
-  for (int32_t x = 0; x < us; ++x) {
-    growth += std::max(0.0, post[x] - prior.pdf[x]);
-  }
-  out.growth = growth;
-  out.point_mass = PosteriorSupport(post) == 1;
   // Every tuple of a conventional release is published, so ownership of
   // the victim's record is certain.
-  out.h = 1.0;
-  AttackResult shim;
-  shim.posterior = std::move(post);
-  ASSIGN_OR_RETURN(out.posterior_rho1, shim.MaxPosteriorGivenPriorBoundExact(
-                                           prior, options.rho1));
-  return out;
+  return FoldOutcome(post, prior, /*h=*/1.0, context.options->rho1);
 }
 
 /// The transparent adversary's PG trial: victim and prior are drawn
@@ -181,70 +188,43 @@ Result<TrialOutcome> GenTrial(const AttackContext& context, Rng& rng,
 Result<TrialOutcome> TransparentPgTrial(const AttackContext& context,
                                         Rng& rng) {
   RETURN_IF_ERROR(RequirePg(context));
-  const BreachHarnessOptions& options = *context.options;
   const PublishedTable& published = *context.release->pg;
   if (!published.provenance().has_value()) {
     return Status::FailedPrecondition(
         "transparent adversary needs the provenance side channel: publish "
         "with PgOptions::keep_provenance (the scenario publishers do)");
   }
-  const ExternalDatabase& edb = *context.edb;
-  const Table& microdata = *context.microdata;
-  const int sens = context.sensitive_attr;
   const int32_t us = context.us;
-  const double lambda = std::max(options.lambda, 1.0 / us);
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
 
-  const std::vector<size_t>& members = *context.members;
-  const size_t victim = members[rng.UniformU64(members.size())];
-  const Individual& victim_ind = edb.individual(victim);
-  const int32_t true_value = microdata.value(victim_ind.microdata_row, sens);
+  ASSIGN_OR_RETURN(PgVictim victim,
+                   DrawPgVictim(context, rng, context.options->prior_kind));
+  const BackgroundKnowledge& prior = victim.prior;
+  const uint32_t source_row =
+      published.provenance()->source_row[victim.crucial_row];
+  const int32_t observed_y = published.sensitive(victim.crucial_row);
+  obs::MetricsRegistry::Global().GetCounter("attack.attacks")->Add();
 
-  BackgroundKnowledge prior;
-  ASSIGN_OR_RETURN(prior, MakePrior(options.prior_kind, us, true_value,
-                                    lambda, rng));
-
-  auto crucial = published.CrucialTuple(victim_ind.qi_codes);
-  if (!crucial.ok()) {
-    return crucial.status().WithContext(
-        "microdata member has no crucial tuple");
-  }
-  const PublishedTable::Provenance& provenance = *published.provenance();
-  const uint32_t source_row = provenance.source_row[*crucial];
-  const int32_t observed_y = published.sensitive(*crucial);
-  metrics.GetCounter("attack.attacks")->Add();
-
-  TrialOutcome out;
-  AttackResult shim;
-  if (source_row == static_cast<uint32_t>(victim_ind.microdata_row)) {
-    // Replay resolved grouping and sampling: the published tuple IS the
-    // victim's, so h = 1 and the posterior is the channel inversion
-    // P[x|y] ∝ prior(x)·P[x→y].
-    UniformPerturbation channel(published.retention_p(), us);
-    std::vector<double> post(us, 0.0);
-    double z = 0.0;
-    for (int32_t x = 0; x < us; ++x) {
-      post[x] = prior.pdf[x] * channel.TransitionProb(x, observed_y);
-      z += post[x];
-    }
-    if (!(z > 0.0)) {
-      return Status::Internal("transparent posterior has zero mass");
-    }
-    for (double& mass : post) mass /= z;
-    out.h = 1.0;
-    shim.posterior = std::move(post);
-  } else {
+  if (source_row != victim.microdata_row) {
     // Replay shows someone else's tuple was sampled for the victim's cell;
     // under the memoryless channel the release then carries no information
     // about the victim beyond the prior.
-    out.h = 0.0;
-    shim.posterior = prior.pdf;
+    return FoldOutcome(prior.pdf, prior, /*h=*/0.0, context.options->rho1);
   }
-  out.point_mass = PosteriorSupport(shim.posterior) == 1;
-  ASSIGN_OR_RETURN(out.growth, shim.MaxGrowth(prior));
-  ASSIGN_OR_RETURN(out.posterior_rho1, shim.MaxPosteriorGivenPriorBoundExact(
-                                           prior, options.rho1));
-  return out;
+  // Replay resolved grouping and sampling: the published tuple IS the
+  // victim's, so h = 1 and the posterior is the channel inversion
+  // P[x|y] ∝ prior(x)·P[x→y].
+  UniformPerturbation channel(published.retention_p(), us);
+  std::vector<double> post(us, 0.0);
+  double z = 0.0;
+  for (int32_t x = 0; x < us; ++x) {
+    post[x] = prior.pdf[x] * channel.TransitionProb(x, observed_y);
+    z += post[x];
+  }
+  if (!(z > 0.0)) {
+    return Status::Internal("transparent posterior has zero mass");
+  }
+  for (double& mass : post) mass /= z;
+  return FoldOutcome(post, prior, /*h=*/1.0, context.options->rho1);
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace pgpub {
 
 namespace {
 
-/// All the AttackResult accessors compare the adversary's pdf against the
+/// All the predicate functionals compare the adversary's pdf against the
 /// posterior; a size mismatch means the caller mixed up sensitive domains.
 Status ValidateSameDomain(size_t prior_size, size_t posterior_size) {
   if (prior_size != posterior_size) {
@@ -25,7 +25,8 @@ Status ValidateSameDomain(size_t prior_size, size_t posterior_size) {
 
 }  // namespace
 
-Result<double> AttackResult::Confidence(const std::vector<bool>& q) const {
+Result<double> Confidence(const std::vector<double>& posterior,
+                          const std::vector<bool>& q) {
   RETURN_IF_ERROR(ValidateSameDomain(q.size(), posterior.size()));
   double confidence = 0.0;
   for (size_t i = 0; i < posterior.size(); ++i) {
@@ -34,8 +35,8 @@ Result<double> AttackResult::Confidence(const std::vector<bool>& q) const {
   return confidence;
 }
 
-Result<double> AttackResult::MaxGrowth(
-    const BackgroundKnowledge& prior) const {
+Result<double> MaxGrowth(const std::vector<double>& posterior,
+                         const BackgroundKnowledge& prior) {
   RETURN_IF_ERROR(ValidateSameDomain(prior.pdf.size(), posterior.size()));
   double growth = 0.0;
   for (size_t i = 0; i < posterior.size(); ++i) {
@@ -44,8 +45,9 @@ Result<double> AttackResult::MaxGrowth(
   return growth;
 }
 
-Result<double> AttackResult::MaxPosteriorGivenPriorBound(
-    const BackgroundKnowledge& prior, double rho1) const {
+Result<double> MaxPosteriorGivenPriorBound(
+    const std::vector<double>& posterior, const BackgroundKnowledge& prior,
+    double rho1) {
   RETURN_IF_ERROR(ValidateSameDomain(prior.pdf.size(), posterior.size()));
   const size_t m = posterior.size();
   std::vector<size_t> order(m);
@@ -79,9 +81,9 @@ Result<double> AttackResult::MaxPosteriorGivenPriorBound(
   return std::max(by_post, by_ratio);
 }
 
-Result<double> AttackResult::MaxPosteriorGivenPriorBoundExact(
-    const BackgroundKnowledge& prior, double rho1,
-    double resolution) const {
+Result<double> MaxPosteriorGivenPriorBoundExact(
+    const std::vector<double>& posterior, const BackgroundKnowledge& prior,
+    double rho1, double resolution) {
   RETURN_IF_ERROR(ValidateSameDomain(prior.pdf.size(), posterior.size()));
   if (!(resolution > 0.0)) {
     return Status::InvalidArgument(
@@ -132,6 +134,21 @@ Result<LinkingAttack> LinkingAttack::Create(const PublishedTable* published,
   return attack;
 }
 
+Result<size_t> LinkingAttack::CrucialRow(size_t individual) const {
+  if (individual >= crucial_of_individual_.size()) {
+    return Status::InvalidArgument(
+        StrFormat("ℰ individual %zu out of range [0,%zu)", individual,
+                  crucial_of_individual_.size()));
+  }
+  const int64_t row = crucial_of_individual_[individual];
+  if (row < 0) {
+    return Status::NotFound(
+        StrFormat("no published tuple generalizes ℰ individual %zu",
+                  individual));
+  }
+  return static_cast<size_t>(row);
+}
+
 Result<AttackResult> LinkingAttack::Attack(size_t victim_index,
                                            const Adversary& adversary) const {
   if (victim_index >= edb_->size()) {
@@ -160,18 +177,18 @@ Result<AttackResult> LinkingAttack::Attack(size_t victim_index,
   AttackResult result;
 
   // ---- Step A1: the crucial tuple.
-  const int64_t crucial = crucial_of_individual_[victim_index];
-  if (crucial < 0) {
+  const Result<size_t> crucial = CrucialRow(victim_index);
+  if (!crucial.ok()) {
     return Status::Internal(
         "microdata member has no crucial tuple — release is malformed");
   }
-  result.crucial_row = static_cast<size_t>(crucial);
+  result.crucial_row = *crucial;
   result.observed_y = published_->sensitive(result.crucial_row);
   result.g_value = published_->group_size(result.crucial_row);
 
   // ---- Step A2: candidate set 𝒪 (everyone but the victim matching t).
   const std::vector<uint32_t>& all_candidates =
-      candidates_of_row_[result.crucial_row];
+      Candidates(result.crucial_row);
   std::vector<uint32_t> others;
   others.reserve(all_candidates.size());
   for (uint32_t c : all_candidates) {

@@ -21,35 +21,40 @@ struct AttackResult {
   double g = 0.0;           ///< Membership probability of unknowns (Eq. 13).
   double h = 0.0;           ///< P[o owns t | y] (Eq. 8/14).
   std::vector<double> posterior;  ///< P[X = x | y] (Eq. 9).
-
-  /// Posterior confidence of predicate Q (Equation 10). Fails if `q` is
-  /// not a predicate over the posterior's domain.
-  [[nodiscard]] Result<double> Confidence(const std::vector<bool>& q) const;
-
-  /// The adversary's best possible knowledge growth over any predicate:
-  /// Σ_x max(0, posterior[x] - prior[x]). By Theorem 1's argument this is
-  /// attained by a Q containing exactly the values whose mass grew.
-  /// Fails if `prior` is over a different domain than the posterior.
-  [[nodiscard]] Result<double> MaxGrowth(
-      const BackgroundKnowledge& prior) const;
-
-  /// Greedy search for the predicate with the largest posterior confidence
-  /// among those with prior confidence <= rho1; returns that posterior
-  /// confidence (a lower bound on the adversary's optimum).
-  [[nodiscard]] Result<double> MaxPosteriorGivenPriorBound(
-      const BackgroundKnowledge& prior, double rho1) const;
-
-  /// Exact (up to the prior grid `resolution`) optimum of the same
-  /// predicate search via 0/1 knapsack: maximize sum of posterior over Q
-  /// subject to sum of prior over Q <= rho1. Priors are rounded *down* to
-  /// the grid, so the result upper-bounds the true optimum by at most
-  /// |U^s| * resolution worth of prior slack — suitable for verifying
-  /// that even an optimal adversary stays below the Theorem 2 bound.
-  /// Fails on a domain mismatch or a non-positive `resolution`.
-  [[nodiscard]] Result<double> MaxPosteriorGivenPriorBoundExact(
-      const BackgroundKnowledge& prior, double rho1,
-      double resolution = 1e-4) const;
 };
+
+// Predicate functionals of an adversary's posterior pdf over U^s — of a
+// linking attack's AttackResult::posterior or of any other attack model's.
+
+/// Posterior confidence of predicate Q (Equation 10). Fails if `q` is
+/// not a predicate over the posterior's domain.
+[[nodiscard]] Result<double> Confidence(const std::vector<double>& posterior,
+                                        const std::vector<bool>& q);
+
+/// The adversary's best possible knowledge growth over any predicate:
+/// Σ_x max(0, posterior[x] - prior[x]). By Theorem 1's argument this is
+/// attained by a Q containing exactly the values whose mass grew.
+/// Fails if `prior` is over a different domain than the posterior.
+[[nodiscard]] Result<double> MaxGrowth(const std::vector<double>& posterior,
+                                       const BackgroundKnowledge& prior);
+
+/// Greedy search for the predicate with the largest posterior confidence
+/// among those with prior confidence <= rho1; returns that posterior
+/// confidence (a lower bound on the adversary's optimum).
+[[nodiscard]] Result<double> MaxPosteriorGivenPriorBound(
+    const std::vector<double>& posterior, const BackgroundKnowledge& prior,
+    double rho1);
+
+/// Exact (up to the prior grid `resolution`) optimum of the same
+/// predicate search via 0/1 knapsack: maximize sum of posterior over Q
+/// subject to sum of prior over Q <= rho1. Priors are rounded *down* to
+/// the grid, so the result upper-bounds the true optimum by at most
+/// |U^s| * resolution worth of prior slack — suitable for verifying
+/// that even an optimal adversary stays below the Theorem 2 bound.
+/// Fails on a domain mismatch or a non-positive `resolution`.
+[[nodiscard]] Result<double> MaxPosteriorGivenPriorBoundExact(
+    const std::vector<double>& posterior, const BackgroundKnowledge& prior,
+    double rho1, double resolution = 1e-4);
 
 /// \brief Executes corruption-aided linking attacks (steps A1–A3) against a
 /// PG release, with the exact probabilistic analysis of Section V-B /
@@ -68,13 +73,29 @@ class LinkingAttack {
   [[nodiscard]] Result<AttackResult> Attack(size_t victim_index,
                                             const Adversary& adversary) const;
 
+  /// Step A1 for ℰ individual `individual`: the published row its QI
+  /// vector generalizes to. InvalidArgument when the index is out of
+  /// range; NotFound when no published tuple matches (possible only for
+  /// extraneous individuals of a well-formed release).
+  [[nodiscard]] Result<size_t> CrucialRow(size_t individual) const;
+
+  /// Step A2 over published row `row` (< published->num_rows()): every ℰ
+  /// individual whose QI vector generalizes to it, in ascending ℰ order.
+  /// For a victim's crucial row the victim is among them and the rest
+  /// are 𝒪.
+  const std::vector<uint32_t>& Candidates(size_t row) const {
+    return candidates_of_row_[row];
+  }
+
  private:
   LinkingAttack(const PublishedTable* published, const ExternalDatabase* edb)
       : published_(published), edb_(edb) {}
 
   const PublishedTable* published_;
   const ExternalDatabase* edb_;
-  /// Cached crucial-row id per ℰ individual (-1 = no match).
+  // Filled by Create's single scan of ℰ; every crucial-row and
+  // candidate-set lookup in the attack layer reads these two.
+  /// Crucial-row id per ℰ individual (-1 = no match).
   std::vector<int64_t> crucial_of_individual_;
   /// ℰ individuals per published row (candidate lists).
   std::vector<std::vector<uint32_t>> candidates_of_row_;

@@ -92,6 +92,11 @@ class LatticeCounter {
 /// Widest QI set a LatticeCounter (and so Incognito) accepts.
 inline constexpr size_t kMaxLatticeAttrs = 64;
 
+/// Largest generalization lattice Incognito searches, in nodes: the
+/// product over QI attributes of (taxonomy height + 1). Its per-node
+/// verdicts live in one flat array.
+inline constexpr size_t kMaxLatticeNodes = 250000;
+
 /// Cells at or below this fit the dense epoch-marked counter; larger
 /// lattice nodes fall back to the reused hash map. Counting stays exact
 /// either way — this only trades memory for speed.

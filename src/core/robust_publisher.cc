@@ -1,7 +1,6 @@
 #include "core/robust_publisher.h"
 
 #include <chrono>
-#include <cmath>
 #include <string_view>
 
 #include "common/failpoint.h"
@@ -45,17 +44,6 @@ Status RobustPublishOptions::Validate() const {
   if (max_attempts < 1) {
     return Status::InvalidArgument("max_attempts must be >= 1, got " +
                                    std::to_string(max_attempts));
-  }
-  // Negative = unlimited; a non-negative budget must be a real number
-  // (NaN would silently disable the deadline check it exists to enforce).
-  if (retry_budget_ms >= 0.0 && !std::isfinite(retry_budget_ms)) {
-    return Status::InvalidArgument(
-        "retry_budget_ms must be finite or negative (unlimited)");
-  }
-  if (std::isnan(retry_budget_ms)) {
-    return Status::InvalidArgument(
-        "retry_budget_ms must not be NaN — use a negative value for "
-        "unlimited");
   }
   return Status::OK();
 }
@@ -184,19 +172,6 @@ Result<PublishedTable> RobustPublisher::Publish(
           .Field("after_attempts", attempt_number);
     }
     for (int i = 1; i <= policy_.max_attempts; ++i) {
-      // Attempt 1 always runs; every further attempt must fit the
-      // wall-clock retry budget, so a retrying publisher cannot blow
-      // through the caller's deadline chasing a flaky release.
-      if (attempt_number >= 1 && policy_.retry_budget_ms >= 0.0 &&
-          MsSince(publish_start) >= policy_.retry_budget_ms) {
-        metrics.GetCounter("robust.retry_budget_exhausted")->Add();
-        return finish(
-            Status::DeadlineExceeded(
-                StrFormat("retry budget of %.1f ms exhausted after %d "
-                          "attempt(s); last error: %s",
-                          policy_.retry_budget_ms, attempt_number,
-                          last_error.ToString().c_str())));
-      }
       // A serving layer with a per-request deadline can stop the next
       // attempt before it starts (fail-closed, typed).
       if (hooks != nullptr) {
@@ -233,7 +208,7 @@ Result<PublishedTable> RobustPublisher::Publish(
       }();
       attempt.outcome = candidate.status();
 
-      if (candidate.ok() && policy_.audit_release) {
+      if (candidate.ok()) {
         attempt.audited = true;
         attempt.audit = AuditRelease(microdata, *candidate);
         PGPUB_LOG_INFO("publish.audit")

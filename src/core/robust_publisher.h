@@ -22,23 +22,8 @@ struct RobustPublishOptions {
   /// whole budget with the other one (TDS -> Incognito).
   bool allow_generalizer_fallback = true;
 
-  /// Run VerifyPublication + a guarantee re-check on every candidate
-  /// release and never return a table that fails either (fail-closed).
-  /// Disabling this is for benchmarking the raw pipeline only.
-  bool audit_release = true;
-
-  /// Wall-clock budget for retries, in milliseconds. Attempt 1 always
-  /// runs; any further attempt (reseeded retry or fallback round) starts
-  /// only while the elapsed wall clock is still under the budget —
-  /// otherwise the publisher stops and fails closed with
-  /// DeadlineExceeded, so a retrying publisher can never exceed the
-  /// caller's deadline. Negative (the default) means unlimited, the
-  /// pre-budget behaviour; 0 disables retries entirely.
-  double retry_budget_ms = -1.0;
-
-  /// Policy-bundle rules (max_attempts >= 1, retry_budget_ms finite or
-  /// negative-unlimited), checked once per entry point — the same
-  /// consolidation contract as PgOptions::Validate.
+  /// Policy-bundle rules (max_attempts >= 1), checked once per entry
+  /// point — the same consolidation contract as PgOptions::Validate.
   [[nodiscard]] Status Validate() const;
 };
 
@@ -51,7 +36,8 @@ struct PublishReport {
     uint64_t seed = 0;    ///< Master seed used by this attempt.
     Status outcome;       ///< Pipeline result of the attempt.
     Status audit;         ///< Audit result; OK when skipped or clean.
-    bool audited = false; ///< Whether the audit ran for this attempt.
+    bool audited = false; ///< Whether the audit ran (it does whenever
+                          ///< the attempt produced a candidate).
     double elapsed_ms = 0.0;
   };
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "common/random.h"
 #include "common/sync/lock_ranks.h"
 #include "common/sync/mutex.h"
 #include "core/pg_publisher.h"
@@ -283,42 +282,6 @@ Result<PublishedTable> PublicationEngine::Publish(
     report->cache.evictions = after.evictions - before.evictions;
   }
   return result;
-}
-
-std::vector<BatchEntry> PublicationEngine::PublishBatch(
-    const std::vector<PublishRequest>& requests, uint64_t batch_seed,
-    std::vector<PublishReport>* reports) {
-  if (reports != nullptr) {
-    reports->clear();
-    reports->resize(requests.size());
-  }
-  std::vector<BatchEntry> out(requests.size());
-  // Sequential over requests by design: each request fans out across the
-  // shared pool internally, and ParallelFor rejects nesting — request-level
-  // parallelism would serialize the phases anyway and break determinism of
-  // the cache fill order.
-  //
-  // Partial-failure isolation: request i's seed is stream i of the batch
-  // seed, derived before anything runs, and a failed Publish mutates no
-  // shared state beyond cache/metrics counters (cache entries are only
-  // stored for completed computations, which stay byte-equivalent to a
-  // recomputation). So entry j is unaffected by a failure at entry i.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    PublishRequest derived = requests[i];
-    derived.options.seed = Rng::ForStream(batch_seed, i).Next64();
-    Result<PublishedTable> one =
-        Publish(derived, reports != nullptr ? &(*reports)[i] : nullptr);
-    out[i].status =
-        one.status().WithContext("batch request " + std::to_string(i));
-    if (one.ok()) {
-      out[i].table = std::move(one).ValueOrDie();
-    } else {
-      obs::MetricsRegistry::Global()
-          .GetCounter("engine.batch_request_failures")
-          ->Add();
-    }
-  }
-  return out;
 }
 
 }  // namespace pgpub::engine

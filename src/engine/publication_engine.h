@@ -75,13 +75,6 @@ struct PublishRequest {
   [[nodiscard]] Status Validate() const { return options.Validate(); }
 };
 
-/// Outcome of one request inside a batch: `table` is meaningful only when
-/// `status` is OK. Requests fail independently — see PublishBatch.
-struct BatchEntry {
-  Status status;
-  PublishedTable table;
-};
-
 /// \brief Multi-request publication server over one dataset + taxonomy
 /// family (DESIGN.md §10).
 ///
@@ -104,7 +97,7 @@ struct BatchEntry {
 /// bytes — only `PublishReport::cache` and timings differ. The
 /// cache-equivalence suite in tests/engine_test.cc pins this.
 ///
-/// Publish/PublishBatch may be called from one thread at a time (requests
+/// Publish may be called from one thread at a time (requests
 /// internally fan out across the engine's pool; nested data parallelism is
 /// rejected by ParallelFor anyway).
 class PublicationEngine {
@@ -124,23 +117,6 @@ class PublicationEngine {
   [[nodiscard]] Result<PublishedTable> Publish(const PublishRequest& request,
                                                PublishReport* report =
                                                    nullptr);
-
-  /// Serves `requests` in order, deriving request i's master seed as
-  /// stream i of `batch_seed` (Rng::ForStream) — per-request
-  /// `options.seed` values are ignored, so a batch is reproducible from
-  /// (requests, batch_seed) alone.
-  ///
-  /// Partial-failure contract: requests fail *independently*. Entry i
-  /// carries its own Status (fail-closed per request: a non-OK entry
-  /// never carries a table), and because request i's seed is stream i of
-  /// the batch seed — never derived from the requests around it — a
-  /// failing request cannot poison its neighbors' results or seeds:
-  /// entry j is byte-identical whether or not request i != j failed.
-  /// The batch always returns one entry per request; nothing vanishes.
-  /// `reports`, when non-null, is resized to one report per request.
-  [[nodiscard]] std::vector<BatchEntry> PublishBatch(
-      const std::vector<PublishRequest>& requests, uint64_t batch_seed,
-      std::vector<PublishReport>* reports = nullptr);
 
   const Table& microdata() const { return microdata_; }
   std::vector<const Taxonomy*> TaxonomyPointers() const {

@@ -75,7 +75,7 @@ Result<GlobalRecoding> IncognitoSearch(
     radix[i] = static_cast<size_t>(taxonomies[i]->height()) + 1;
     stride[i] = lattice_size;
     lattice_size *= radix[i];
-    if (lattice_size > static_cast<size_t>(options.max_lattice_nodes)) {
+    if (lattice_size > columnar::kMaxLatticeNodes) {
       return Status::InvalidArgument(
           "generalization lattice too large for Incognito search; "
           "use TopDownSpecializer");

@@ -15,9 +15,6 @@ namespace pgpub {
 /// Options for full-domain generalization search.
 struct IncognitoOptions {
   int k = 2;
-  /// Safety bound on lattice nodes examined; InvalidArgument when the
-  /// lattice is larger (use TDS for wide schemas).
-  int max_lattice_nodes = 250000;
   /// Optional worker pool for the per-level k-anonymity checks and NCP
   /// scoring of minimal nodes (nullptr = serial). Levels are swept in the
   /// same BFS order either way, so the chosen node is bit-identical at
@@ -43,7 +40,9 @@ struct IncognitoOptions {
 /// checked when all its direct generalizations are k-anonymous — and
 /// returns the k-anonymous node with the lowest NCP among the *minimal*
 /// k-anonymous nodes (those none of whose specializations are
-/// k-anonymous). At most 64 QI attributes (InvalidArgument beyond).
+/// k-anonymous). At most 64 QI attributes and
+/// columnar::kMaxLatticeNodes lattice nodes (InvalidArgument beyond; use
+/// TDS for wide schemas).
 ///
 /// Suited to few QI attributes with shallow hierarchies; the paper's SAL
 /// pipeline uses TDS instead (both satisfy G1–G3).

@@ -93,11 +93,6 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
 
   const std::vector<int32_t>& gids = GroupsOfSegment(attr_idx, lo);
   if (gids.empty()) return;  // segment carries no rows; splitting is moot
-  cand->max_affected_group = 0;
-  for (int32_t gid : gids) {
-    cand->max_affected_group =
-        std::max<int64_t>(cand->max_affected_group, groups_[gid].size());
-  }
 
   const int attr = qi_attrs_[attr_idx];
   const Taxonomy* tax = taxonomies_[attr_idx];
@@ -194,17 +189,13 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
 
   cand->valid = true;
   cand->taxonomy_node = node_id;
-  cand->gain = gain;
-  cand->min_new_size = min_new;
-  cand->ss_reduction = ss_reduction;
-  // Significance-debiased gain (chi-square null correction, x3 margin).
-  cand->gain_per_row =
-      affected_rows > 0
-          ? (gain - 3.0 * bias) / static_cast<double>(affected_rows)
-          : 0.0;
   if (options_.balance_aware) {
-    cand->score =
-        CombinedScore(cand->gain_per_row, ss_reduction, affected_ss);
+    // Significance-debiased gain (chi-square null correction, x3 margin).
+    const double gain_per_row =
+        affected_rows > 0
+            ? (gain - 3.0 * bias) / static_cast<double>(affected_rows)
+            : 0.0;
+    cand->score = CombinedScore(gain_per_row, ss_reduction, affected_ss);
   } else {
     const int64_t loss = std::max<int64_t>(0, global_min - min_new);
     cand->score = gain / static_cast<double>(loss + 1);

@@ -98,16 +98,6 @@ class TopDownSpecializer {
     bool dirty = true;
     bool valid = false;
     double score = 0.0;
-    double gain = 0.0;
-    int64_t min_new_size = 0;
-    /// Largest affected group and the reduction in sum of squared group
-    /// sizes the split would achieve. Once information gain is exhausted
-    /// (the usual end-game), candidates are ranked by ss_reduction: carving
-    /// the biggest strata equalizes the published G-weights, which
-    /// maximizes the effective sample size of the Phase-3 output.
-    int64_t max_affected_group = 0;
-    double ss_reduction = 0.0;
-    double gain_per_row = 0.0;
     int taxonomy_node = -1;  ///< Taxonomy node whose children it splits into.
   };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "attack/linking_attack.h"
 #include "core/pg_publisher.h"
@@ -95,17 +96,17 @@ TEST(AttackResultTest, AccessorsRejectDomainMismatch) {
   AttackResult r;
   r.posterior = {0.5, 0.5};
   BackgroundKnowledge prior = BackgroundKnowledge::Uniform(3).ValueOrDie();
-  EXPECT_TRUE(r.MaxGrowth(prior).status().IsInvalidArgument());
+  EXPECT_TRUE(MaxGrowth(r.posterior, prior).status().IsInvalidArgument());
   EXPECT_TRUE(
-      r.MaxPosteriorGivenPriorBound(prior, 0.5).status().IsInvalidArgument());
-  EXPECT_TRUE(r.MaxPosteriorGivenPriorBoundExact(prior, 0.5)
+      MaxPosteriorGivenPriorBound(r.posterior, prior, 0.5).status().IsInvalidArgument());
+  EXPECT_TRUE(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.5)
                   .status()
                   .IsInvalidArgument());
   BackgroundKnowledge matched = BackgroundKnowledge::Uniform(2).ValueOrDie();
-  EXPECT_TRUE(r.MaxPosteriorGivenPriorBoundExact(matched, 0.5, 0.0)
+  EXPECT_TRUE(MaxPosteriorGivenPriorBoundExact(r.posterior, matched, 0.5, 0.0)
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(r.Confidence({true}).status().IsInvalidArgument());
+  EXPECT_TRUE(Confidence(r.posterior, {true}).status().IsInvalidArgument());
 }
 
 TEST(LinkingAttackTest, CreateRejectsNullReferents) {
@@ -192,13 +193,13 @@ TEST(LinkingAttackTest, Theorem1NoBreachWhenYNotInQ) {
   // Any Q excluding the observed y must not gain confidence (Theorem 1).
   std::vector<bool> q(us, true);
   q[r.observed_y] = false;
-  EXPECT_LE(r.Confidence(q).ValueOrDie(), adv.victim_prior.Confidence(q).ValueOrDie() + 1e-12);
+  EXPECT_LE(Confidence(r.posterior, q).ValueOrDie(), adv.victim_prior.Confidence(q).ValueOrDie() + 1e-12);
   // ... and single-value predicates excluding y likewise.
   for (int32_t x = 0; x < us; ++x) {
     if (x == r.observed_y) continue;
     std::vector<bool> single(us, false);
     single[x] = true;
-    EXPECT_LE(r.Confidence(single).ValueOrDie(),
+    EXPECT_LE(Confidence(r.posterior, single).ValueOrDie(),
               adv.victim_prior.Confidence(single).ValueOrDie() + 1e-12);
   }
 }
@@ -244,6 +245,51 @@ TEST(LinkingAttackTest, CorruptionRaisesOwnershipProbability) {
 
   // Learning that Emily is extraneous removes a candidate: h grows.
   EXPECT_GT(r1.h, r0.h - 1e-12);
+}
+
+TEST(LinkingAttackTest, IndexMatchesBruteForceCrucialTupleScan) {
+  CensusDataset census = GenerateCensus(2000, 31).ValueOrDie();
+  PgOptions options;
+  options.k = 4;
+  options.p = 0.3;
+  options.seed = 7;
+  PublishedTable published =
+      PgPublisher(options)
+          .Publish(census.table, census.TaxonomyPointers())
+          .ValueOrDie();
+  Rng rng(32);
+  ExternalDatabase edb =
+      ExternalDatabase::FromMicrodata(census.table, 1000, rng);
+  LinkingAttack attacker =
+      LinkingAttack::Create(&published, &edb).ValueOrDie();
+
+  // Oracle: step A1 by a direct CrucialTuple call per individual, and
+  // step A2 by scanning all of ℰ for the same crucial tuple.
+  std::vector<Result<size_t>> crucial;
+  for (size_t i = 0; i < edb.size(); ++i) {
+    crucial.push_back(published.CrucialTuple(edb.individual(i).qi_codes));
+  }
+  size_t shared_cells = 0;
+  for (size_t i = 0; i < edb.size(); ++i) {
+    const Result<size_t> row = attacker.CrucialRow(i);
+    if (!crucial[i].ok()) {
+      EXPECT_TRUE(row.status().IsNotFound()) << row.status().ToString();
+      EXPECT_TRUE(edb.individual(i).extraneous()) << i;
+      continue;
+    }
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(*row, *crucial[i]) << i;
+    std::vector<uint32_t> scan;
+    for (size_t j = 0; j < edb.size(); ++j) {
+      if (crucial[j].ok() && *crucial[j] == *crucial[i]) {
+        scan.push_back(static_cast<uint32_t>(j));
+      }
+    }
+    EXPECT_EQ(attacker.Candidates(*row), scan) << i;
+    if (scan.size() > 1) ++shared_cells;
+  }
+  EXPECT_GT(shared_cells, 0u);
+  EXPECT_TRUE(attacker.CrucialRow(edb.size()).status().IsInvalidArgument());
 }
 
 // ----------------------------------------------- h <= h_top property sweep
@@ -503,11 +549,11 @@ TEST(AttackResultTest, MaxGrowthAndGreedyPredicate) {
   r.posterior = {0.5, 0.3, 0.1, 0.1};
   BackgroundKnowledge prior;
   prior.pdf = {0.25, 0.25, 0.25, 0.25};
-  EXPECT_NEAR(r.MaxGrowth(prior).ValueOrDie(), 0.3, 1e-12);
+  EXPECT_NEAR(MaxGrowth(r.posterior, prior).ValueOrDie(), 0.3, 1e-12);
   // With rho1 = 0.5 the best Q takes the two grown values {0,1}.
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBound(prior, 0.5).ValueOrDie(), 0.8, 1e-12);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBound(r.posterior, prior, 0.5).ValueOrDie(), 0.8, 1e-12);
   // With rho1 = 0.25 only one value fits.
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBound(prior, 0.25).ValueOrDie(), 0.5, 1e-12);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBound(r.posterior, prior, 0.25).ValueOrDie(), 0.5, 1e-12);
 }
 
 TEST(AttackResultTest, ExactKnapsackDominatesGreedy) {
@@ -525,9 +571,9 @@ TEST(AttackResultTest, ExactKnapsackDominatesGreedy) {
     NormalizeInPlace(r.posterior);
     NormalizeInPlace(prior.pdf);
     for (double rho1 : {0.1, 0.3, 0.6}) {
-      const double greedy = r.MaxPosteriorGivenPriorBound(prior, rho1).ValueOrDie();
+      const double greedy = MaxPosteriorGivenPriorBound(r.posterior, prior, rho1).ValueOrDie();
       const double exact =
-          r.MaxPosteriorGivenPriorBoundExact(prior, rho1, 1e-4).ValueOrDie();
+          MaxPosteriorGivenPriorBoundExact(r.posterior, prior, rho1, 1e-4).ValueOrDie();
       EXPECT_GE(exact, greedy - 1e-9)
           << "trial " << trial << " rho1 " << rho1;
       EXPECT_LE(exact, 1.0 + 1e-9);
@@ -543,10 +589,10 @@ TEST(AttackResultTest, ExactKnapsackSolvesKnownInstance) {
   r.posterior = {0.5, 0.3, 0.2};
   BackgroundKnowledge prior;
   prior.pdf = {0.5, 0.25, 0.25};
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBoundExact(prior, 0.5).ValueOrDie(), 0.5, 1e-9);
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBoundExact(prior, 0.75).ValueOrDie(), 0.8, 1e-9);
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBoundExact(prior, 1.0).ValueOrDie(), 1.0, 1e-9);
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBoundExact(prior, 0.2).ValueOrDie(), 0.0, 1e-9);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.5).ValueOrDie(), 0.5, 1e-9);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.75).ValueOrDie(), 0.8, 1e-9);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 1.0).ValueOrDie(), 1.0, 1e-9);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.2).ValueOrDie(), 0.0, 1e-9);
 }
 
 TEST(AttackResultTest, ZeroPriorValuesAreFree) {
@@ -554,7 +600,7 @@ TEST(AttackResultTest, ZeroPriorValuesAreFree) {
   r.posterior = {0.6, 0.4};
   BackgroundKnowledge prior;
   prior.pdf = {0.0, 1.0};
-  EXPECT_NEAR(r.MaxPosteriorGivenPriorBound(prior, 0.0).ValueOrDie(), 0.6, 1e-12);
+  EXPECT_NEAR(MaxPosteriorGivenPriorBound(r.posterior, prior, 0.0).ValueOrDie(), 0.6, 1e-12);
 }
 
 }  // namespace

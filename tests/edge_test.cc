@@ -175,7 +175,7 @@ TEST(EdgeTest, FullySkewedPriorPinsPosterior) {
   adv.victim_prior.pdf[truth] = 1.0;
   AttackResult r = attacker.Attack(0, adv).ValueOrDie();
   EXPECT_NEAR(r.posterior[truth], 1.0, 1e-9);
-  EXPECT_NEAR(r.MaxGrowth(adv.victim_prior).ValueOrDie(), 0.0, 1e-9);
+  EXPECT_NEAR(MaxGrowth(r.posterior, adv.victim_prior).ValueOrDie(), 0.0, 1e-9);
 }
 
 TEST(EdgeTest, GValueOfExample1IsZeroWhenAllCandidatesCorrupted) {

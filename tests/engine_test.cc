@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/publish_hooks.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
@@ -341,80 +342,6 @@ TEST(CachePoisoningTest, CollidedRecodingFailsClosed) {
   EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
 }
 
-// ------------------------------------------------------------ batching
-
-TEST(PublishBatchTest, BatchIsAFunctionOfRequestsAndBatchSeed) {
-  CensusDataset census = GenerateCensus(1000, 8).ValueOrDie();
-  auto engine =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-
-  std::vector<PublishRequest> requests(2);
-  requests[0].options.k = 4;
-  requests[0].options.p = 0.3;
-  requests[0].options.seed = 111;  // Ignored: the batch seed governs.
-  requests[1].options.k = 6;
-  requests[1].options.p = 0.3;
-  requests[1].options.seed = 222;
-
-  std::vector<PublishReport> reports;
-  const auto run_a = engine->PublishBatch(requests, 99, &reports);
-  ASSERT_EQ(run_a.size(), 2u);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(run_a[0].status.ok());
-  EXPECT_TRUE(run_a[1].status.ok());
-  EXPECT_TRUE(reports[0].final_status.ok());
-  EXPECT_TRUE(reports[1].final_status.ok());
-
-  // Same batch seed, different per-request seeds: identical bytes.
-  requests[0].options.seed = 333;
-  requests[1].options.seed = 444;
-  const auto run_b = engine->PublishBatch(requests, 99);
-  ASSERT_EQ(run_b.size(), 2u);
-  for (size_t i = 0; i < run_a.size(); ++i) {
-    ASSERT_TRUE(run_b[i].status.ok());
-    EXPECT_EQ(Flatten(run_a[i].table), Flatten(run_b[i].table));
-  }
-
-  // A different batch seed reperturbs: at least one release changes.
-  const auto run_c = engine->PublishBatch(requests, 100);
-  bool any_diff = false;
-  for (size_t i = 0; i < run_a.size(); ++i) {
-    ASSERT_TRUE(run_c[i].status.ok());
-    any_diff = any_diff || Flatten(run_a[i].table) != Flatten(run_c[i].table);
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(PublishBatchTest, RequestsFailIndependently) {
-  CensusDataset census = GenerateCensus(500, 9).ValueOrDie();
-  auto engine =
-      PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
-
-  // A clean reference batch pins the neighbors' bytes.
-  std::vector<PublishRequest> good(3);
-  for (auto& r : good) {
-    r.options.k = 4;
-    r.options.p = 0.3;
-  }
-  const auto reference = engine->PublishBatch(good, 1);
-  ASSERT_EQ(reference.size(), 3u);
-  for (const auto& entry : reference) ASSERT_TRUE(entry.status.ok());
-
-  // Poison the middle request: it fails with its own typed Status while
-  // its neighbors keep both their success and their exact bytes (their
-  // seeds are streams 0 and 2 of the batch seed, untouched by request 1).
-  std::vector<PublishRequest> mixed = good;
-  mixed[1].options.p = 1.5;  // Invalid retention.
-  const auto result = engine->PublishBatch(mixed, 1);
-  ASSERT_EQ(result.size(), 3u);
-  EXPECT_TRUE(result[0].status.ok());
-  EXPECT_TRUE(result[1].status.IsInvalidArgument())
-      << result[1].status.ToString();
-  EXPECT_TRUE(result[2].status.ok());
-  EXPECT_EQ(Flatten(result[0].table), Flatten(reference[0].table));
-  EXPECT_EQ(Flatten(result[2].table), Flatten(reference[2].table));
-}
-
 // -------------------------------------------------- engine validation
 
 TEST(PublicationEngineTest, CreateRejectsBadInputs) {
@@ -525,6 +452,44 @@ TEST(EngineDeadlineTest, ExpiredDeadlineFailsClosedBeforePublishWork) {
   Result<PublishedTable> live = eng->Publish(request);
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   EXPECT_EQ(Flatten(*live), Flatten(*unconstrained));
+}
+
+TEST(EngineDeadlineTest, DeadlinePassedDuringAttemptStopsTheRetry) {
+  // The clock passes the deadline once attempt 1 has hit its injected
+  // perturb fault, so the retry that fault would earn never starts.
+  FailpointRegistry& registry = FailpointRegistry::Global();
+  registry.DisableAll();
+  ASSERT_TRUE(
+      registry.Enable(failpoints::kPublishPerturb, "always").ok());
+  constexpr uint64_t kDeadline = 1000;
+  EngineOptions options;
+  options.num_threads = 1;
+  options.now_nanos = [&registry] {
+    return registry.TriggerCount(failpoints::kPublishPerturb) > 0
+               ? kDeadline + 1
+               : kDeadline - 1;
+  };
+  CensusDataset clinic = GenerateClinic(400, 3).ValueOrDie();
+  auto eng = PublicationEngine::Create(std::move(clinic.table),
+                                       std::move(clinic.taxonomies), options)
+                 .ValueOrDie();
+
+  PublishRequest request;
+  request.options.k = 4;
+  request.options.p = 0.5;
+  request.options.seed = 9;
+  request.deadline_nanos = kDeadline;
+  PublishReport report;
+  Result<PublishedTable> result = eng->Publish(request, &report);
+  registry.DisableAll();
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  ASSERT_EQ(report.attempts.size(), 1u);
+  EXPECT_TRUE(report.attempts[0].outcome.IsInternal())
+      << report.attempts[0].outcome.ToString();
+  EXPECT_FALSE(report.final_status.ok());
 }
 
 // --------------------------------------------------- report round-trip

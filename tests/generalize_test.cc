@@ -457,5 +457,28 @@ TEST(IncognitoTest, MoreThan64QiAttributesIsInvalidArgument) {
                   .IsInvalidArgument());
 }
 
+TEST(IncognitoTest, LatticeLargerThanTheBoundIsInvalidArgument) {
+  // A binary taxonomy over 256 codes has height 8, so d such attributes
+  // span 9^d lattice nodes: 59,049 for five, 531,441 for six.
+  static_assert(59049 <= columnar::kMaxLatticeNodes &&
+                531441 > columnar::kMaxLatticeNodes);
+  for (int attrs : {5, 6}) {
+    WideTable wide = MakeWideTable(attrs, 256, 10, 53);
+    for (Taxonomy& t : wide.taxonomies) t = Taxonomy::Binary(256, "*");
+    ASSERT_EQ(wide.taxonomies[0].height(), 8);
+    const auto result = IncognitoSearch(wide.table, wide.qi,
+                                        wide.TaxonomyPointers(),
+                                        IncognitoOptions{});
+    if (attrs == 5) {
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    } else {
+      EXPECT_TRUE(result.status().IsInvalidArgument())
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find("lattice too large"),
+                std::string::npos);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pgpub

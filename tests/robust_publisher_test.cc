@@ -238,48 +238,6 @@ TEST(RobustPublisherTest, RejectsBadPolicy) {
                   .IsInvalidArgument());
 }
 
-TEST(RobustPublisherTest, RetryBudgetValidation) {
-  RobustPublishOptions policy;
-  policy.retry_budget_ms = -1.0;  // unlimited (the default)
-  EXPECT_TRUE(policy.Validate().ok());
-  policy.retry_budget_ms = 0.0;  // first attempt only
-  EXPECT_TRUE(policy.Validate().ok());
-  policy.retry_budget_ms = 250.0;
-  EXPECT_TRUE(policy.Validate().ok());
-  policy.retry_budget_ms = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(policy.Validate().IsInvalidArgument());
-  policy.retry_budget_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(policy.Validate().IsInvalidArgument());
-}
-
-TEST(RobustPublisherTest, ZeroRetryBudgetAllowsExactlyOneAttempt) {
-  FailpointRegistry::Global().DisableAll();
-  CensusDataset census = GenerateCensus(1500, 5).ValueOrDie();
-  ASSERT_TRUE(FailpointRegistry::Global()
-                  .Enable(failpoints::kPublishPerturb, "always")
-                  .ok());
-  RobustPublishOptions policy;
-  policy.max_attempts = 5;
-  policy.allow_generalizer_fallback = false;
-  policy.retry_budget_ms = 0.0;
-  RobustPublisher publisher(SolvedOptions(), policy);
-  PublishReport report;
-  Result<PublishedTable> result =
-      publisher.Publish(census.table, census.TaxonomyPointers(), &report);
-  FailpointRegistry::Global().DisableAll();
-
-  // The first attempt always runs (a zero budget disables *retries*, not
-  // publishing); the wall-clock check then fails closed before attempt 2.
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded())
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("retry budget"),
-            std::string::npos)
-      << result.status().ToString();
-  EXPECT_EQ(report.attempts.size(), 1u);
-  EXPECT_FALSE(report.final_status.ok());
-}
-
 TEST(RobustPublisherTest, UnlimitedBudgetStillRetriesToSuccess) {
   FailpointRegistry::Global().DisableAll();
   CensusDataset census = GenerateCensus(1500, 5).ValueOrDie();
@@ -289,7 +247,6 @@ TEST(RobustPublisherTest, UnlimitedBudgetStillRetriesToSuccess) {
   RobustPublishOptions policy;
   policy.max_attempts = 5;
   policy.allow_generalizer_fallback = false;
-  policy.retry_budget_ms = -1.0;
   RobustPublisher publisher(SolvedOptions(), policy);
   PublishReport report;
   Result<PublishedTable> result =
