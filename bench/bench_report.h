@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "obs/json.h"
@@ -25,7 +26,7 @@ namespace bench {
 ///   {
 ///     "schema_version": 1,
 ///     "name": "table3_guarantees",
-///     "params": {"sal_n": 400000, ...},
+///     "params": {"hardware_threads": 4, "sal_n": 400000, ...},
 ///     "wall_ns": 123456789,
 ///     "iterations": 12,
 ///     "results": [{...}, ...],
@@ -41,7 +42,12 @@ class BenchReport {
       : name_(std::move(name)),
         params_(obs::JsonValue::Object()),
         results_(obs::JsonValue::Array()),
-        start_(std::chrono::steady_clock::now()) {}
+        start_(std::chrono::steady_clock::now()) {
+    // What the machine offers, not what the run used: thread counts a
+    // bench chose (PGPUB_THREADS included) are its own params.
+    params_.Set("hardware_threads",
+                static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  }
 
   template <typename T>
   void SetParam(const std::string& key, T value) {

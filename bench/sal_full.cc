@@ -27,7 +27,6 @@
 #include "bench/bench_report.h"
 #include "bench/bench_util.h"
 #include "bench/sal_digest.h"
-#include "common/parallel/thread_pool.h"
 #include "core/guarantees.h"
 #include "core/robust_publisher.h"
 #include "datagen/sal.h"
@@ -71,8 +70,6 @@ int Main() {
   report.SetParam("threads", static_cast<uint64_t>(threads));
   report.SetParam("runs", static_cast<uint64_t>(runs));
   report.SetParam("figures", figures);
-  report.SetParam("hardware_threads",
-                  static_cast<uint64_t>(ThreadPool::DefaultNumThreads()));
 
   // ---- Generate the SAL table (seed 42, thread-invariant rows).
   SalOptions sal_options;

@@ -124,8 +124,6 @@ int Main() {
   report.SetParam("rows", static_cast<uint64_t>(n));
   report.SetParam("victims", static_cast<uint64_t>(victims));
   report.SetParam("reps", static_cast<uint64_t>(reps));
-  report.SetParam("hardware_threads",
-                  static_cast<uint64_t>(ThreadPool::DefaultNumThreads()));
 
   CensusDataset census = GenerateCensus(n, 1).ValueOrDie();
   std::vector<SweepRow> rows;

@@ -23,6 +23,11 @@ enum class StatusCode : int {
   kUnavailable = 11,
 };
 
+/// The last StatusCode: codes are dense in [kOk, kLastStatusCode], so code
+/// that enumerates every code loops up to this one. Move it when a code is
+/// appended.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kUnavailable;
+
 /// Returns a human-readable name for a status code, e.g. "InvalidArgument".
 std::string_view StatusCodeToString(StatusCode code);
 

@@ -16,7 +16,7 @@ namespace pgpub::lock_rank {
 
 inline constexpr int kServerCore = 10;   ///< server::ServerCore::mu_
 inline constexpr int kThreadPool = 20;   ///< ThreadPool::mu_
-inline constexpr int kEngineCache = 30;  ///< engine LRU caches, audit memo
+inline constexpr int kEngineCache = 30;  ///< engine::LruCache::mu_
 inline constexpr int kFailpoint = 80;    ///< FailpointRegistry::mu_
 inline constexpr int kLogger = 85;       ///< obs::Logger::mu_
 inline constexpr int kTracer = 87;       ///< obs::Tracer::mu_

@@ -142,21 +142,7 @@ Result<PublishedTable> PgPublisher::Publish(
   const int32_t us = microdata.domain(sens).size();
   ASSIGN_OR_RETURN(int k, EffectiveK(options_));
 
-  // Solved-p fixpoints are pure functions of (target, k, |U^s|) — the
-  // cheapest and most frequently shared cache entry across a request grid.
-  double p = 0.0;
-  const bool solvable_p = options_.p < 0.0 && hooks != nullptr;
-  if (solvable_p) {
-    const RetentionQuery query{options_.target, k, us};
-    if (std::optional<double> cached = hooks->LookupRetention(query)) {
-      p = *cached;
-    } else {
-      ASSIGN_OR_RETURN(p, EffectiveRetention(options_, k, us));
-      hooks->StoreRetention(query, p);
-    }
-  } else {
-    ASSIGN_OR_RETURN(p, EffectiveRetention(options_, k, us));
-  }
+  ASSIGN_OR_RETURN(double p, EffectiveRetention(options_, k, us));
 
   Rng master(options_.seed);
   // Fork order is part of the wire format of a seed: perturbation first,

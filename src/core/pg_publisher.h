@@ -93,10 +93,10 @@ class PgPublisher {
   ///
   /// `hooks` (optional) is the serving-layer injection point
   /// (core/publish_hooks.h): it can mark inputs as prevalidated, share a
-  /// long-lived pool lease, and memoize the solved-p fixpoint and the
-  /// Phase-2 recoding. A null hooks pointer is the one-shot path,
-  /// byte-for-byte; a cache hit must be byte-equivalent to the computation
-  /// it skips, so the published table is identical either way.
+  /// long-lived pool lease, and memoize the Phase-2 recoding. A null hooks
+  /// pointer is the one-shot path, byte-for-byte; a cache hit must be
+  /// byte-equivalent to the computation it skips, so the published table
+  /// is identical either way.
   [[nodiscard]] Result<PublishedTable> Publish(
       const Table& microdata,
       const std::vector<const Taxonomy*>& taxonomies,

@@ -25,19 +25,10 @@ struct RecodingQuery {
   int num_classes = 0;
 };
 
-/// Identity of a solved-p fixpoint: the declared target plus the (k, |U^s|)
-/// pair the solver runs against. `p >= 0` requests never consult the cache.
-struct RetentionQuery {
-  PrivacyTarget target;
-  int k = 0;
-  int sensitive_domain_size = 0;
-};
-
 /// \brief Injection points PgPublisher/RobustPublisher offer a multi-request
 /// serving layer (src/engine). One hooks instance is bound to ONE
-/// (dataset, taxonomy family) pair — the implementation content-addresses
-/// its entries with fingerprints of that pair, which is why the queries
-/// above carry only the per-request identity.
+/// (dataset, taxonomy family) pair, which is why the query above carries
+/// only the per-request identity.
 ///
 /// Every default below is a no-op, so `PublishHooks base;` behaves exactly
 /// like passing no hooks at all. Contract for cache implementations: a
@@ -76,16 +67,6 @@ class PublishHooks {
   [[nodiscard]] virtual Status CheckDeadline(const char* about_to_run) {
     (void)about_to_run;
     return Status::OK();
-  }
-
-  [[nodiscard]] virtual std::optional<double> LookupRetention(
-      const RetentionQuery& query) {
-    (void)query;
-    return std::nullopt;
-  }
-  virtual void StoreRetention(const RetentionQuery& query, double p) {
-    (void)query;
-    (void)p;
   }
 
   [[nodiscard]] virtual std::optional<GlobalRecoding> LookupRecoding(

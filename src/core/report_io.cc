@@ -18,14 +18,8 @@ JsonValue StatusToJson(const Status& status) {
 }
 
 Result<StatusCode> StatusCodeFromName(std::string_view name) {
-  constexpr StatusCode kCodes[] = {
-      StatusCode::kOk,            StatusCode::kInvalidArgument,
-      StatusCode::kNotFound,      StatusCode::kOutOfRange,
-      StatusCode::kAlreadyExists, StatusCode::kFailedPrecondition,
-      StatusCode::kIOError,       StatusCode::kInternal,
-      StatusCode::kUnimplemented,
-  };
-  for (StatusCode code : kCodes) {
+  for (int c = 0; c <= static_cast<int>(kLastStatusCode); ++c) {
+    const auto code = static_cast<StatusCode>(c);
     if (StatusCodeToString(code) == name) return code;
   }
   return Status::InvalidArgument("unknown status code '" + std::string(name) +

@@ -31,10 +31,8 @@ Status ValidateTaxonomy(const Taxonomy& taxonomy, int32_t domain_size) {
   return Status::OK();
 }
 
-Status ValidatePublishInputs(const Table& microdata,
-                             const std::vector<const Taxonomy*>& taxonomies,
-                             const PgOptions& options) {
-  PGPUB_FAILPOINT(failpoints::kPublishValidate);
+Status ValidateDataset(const Table& microdata,
+                       const std::vector<const Taxonomy*>& taxonomies) {
   const std::vector<int> qi = microdata.schema().QiIndices();
   if (qi.empty()) {
     return Status::InvalidArgument("schema declares no QI attributes");
@@ -47,7 +45,11 @@ Status ValidatePublishInputs(const Table& microdata,
   }
   ASSIGN_OR_RETURN(int sens, microdata.schema().SensitiveIndex());
   const int32_t us = microdata.domain(sens).size();
-  RETURN_IF_ERROR(ValidatePgOptions(options, us));
+  if (us < 2) {
+    return Status::InvalidArgument(
+        "sensitive domain must hold at least 2 values, got " +
+        std::to_string(us));
+  }
 
   for (size_t i = 0; i < qi.size(); ++i) {
     const std::string& name = microdata.schema().attribute(qi[i]).name;
@@ -69,7 +71,12 @@ Status ValidatePublishInputs(const Table& microdata,
           ": " + std::to_string(sens_col[r]));
     }
   }
+  return Status::OK();
+}
 
+Status ValidateRequest(const Table& microdata, const PgOptions& options) {
+  ASSIGN_OR_RETURN(int sens, microdata.schema().SensitiveIndex());
+  RETURN_IF_ERROR(ValidatePgOptions(options, microdata.domain(sens).size()));
   ASSIGN_OR_RETURN(int k, PgPublisher::EffectiveK(options));
   if (microdata.num_rows() < static_cast<size_t>(k)) {
     return Status::FailedPrecondition(
@@ -77,6 +84,14 @@ Status ValidatePublishInputs(const Table& microdata,
         ") than k (" + std::to_string(k) + ")");
   }
   return Status::OK();
+}
+
+Status ValidatePublishInputs(const Table& microdata,
+                             const std::vector<const Taxonomy*>& taxonomies,
+                             const PgOptions& options) {
+  PGPUB_FAILPOINT(failpoints::kPublishValidate);
+  RETURN_IF_ERROR(ValidateDataset(microdata, taxonomies));
+  return ValidateRequest(microdata, options);
 }
 
 }  // namespace pgpub

@@ -30,10 +30,22 @@ namespace pgpub {
 /// root width).
 [[nodiscard]] Status ValidateTaxonomy(const Taxonomy& taxonomy, int32_t domain_size);
 
-/// Full pre-flight check of a publish call: schema roles (>= 1 QI,
-/// exactly one sensitive attribute with >= 2 values), one non-null
-/// taxonomy per QI attribute with matching domains, sensitive codes in range,
-/// enough rows for the effective k, and ValidatePgOptions.
+/// The O(rows) half of the publish screen, everything fixed by the dataset
+/// alone: schema roles (>= 1 QI, exactly one sensitive attribute with >= 2
+/// values), one non-null taxonomy per QI attribute passing
+/// ValidateTaxonomy, and sensitive codes in range. A serving layer that
+/// owns one dataset runs this once, when it takes the dataset.
+[[nodiscard]] Status ValidateDataset(
+    const Table& microdata, const std::vector<const Taxonomy*>& taxonomies);
+
+/// The O(1) half, everything that varies per request: ValidatePgOptions
+/// against the table's sensitive domain and enough rows for the effective
+/// k. Assumes nothing about the taxonomies.
+[[nodiscard]] Status ValidateRequest(const Table& microdata,
+                                     const PgOptions& options);
+
+/// Full pre-flight check of a publish call: ValidateDataset, then
+/// ValidateRequest.
 [[nodiscard]] Status ValidatePublishInputs(const Table& microdata,
                              const std::vector<const Taxonomy*>& taxonomies,
                              const PgOptions& options);

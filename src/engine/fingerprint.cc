@@ -1,24 +1,6 @@
 #include "engine/fingerprint.h"
 
-#include <cstring>
-#include <string>
-
 namespace pgpub::engine {
-
-void Fingerprinter::MixString(std::string_view s) {
-  Mix(s.size());
-  size_t i = 0;
-  for (; i + 8 <= s.size(); i += 8) {
-    uint64_t word;
-    __builtin_memcpy(&word, s.data() + i, 8);
-    Mix(word);
-  }
-  if (i < s.size()) {
-    uint64_t word = 0;
-    __builtin_memcpy(&word, s.data() + i, s.size() - i);
-    Mix(word);
-  }
-}
 
 void Fingerprinter::MixI32Span(const int32_t* data, size_t n) {
   Mix(n);
@@ -29,51 +11,6 @@ void Fingerprinter::MixI32Span(const int32_t* data, size_t n) {
         static_cast<uint64_t>(static_cast<uint32_t>(data[i + 1])));
   }
   if (i < n) Mix(static_cast<uint64_t>(static_cast<uint32_t>(data[i])));
-}
-
-uint64_t FingerprintI32Span(const std::vector<int32_t>& values) {
-  Fingerprinter fp;
-  fp.MixI32Span(values.data(), values.size());
-  return fp.digest();
-}
-
-uint64_t FingerprintTable(const Table& table) {
-  Fingerprinter fp;
-  fp.Mix(table.num_rows());
-  fp.Mix(static_cast<uint64_t>(table.num_attributes()));
-  for (int a = 0; a < table.num_attributes(); ++a) {
-    const Attribute& attr = table.schema().attribute(a);
-    fp.MixString(attr.name);
-    fp.Mix(static_cast<uint64_t>(attr.type));
-    fp.Mix(static_cast<uint64_t>(attr.role));
-    const AttributeDomain& domain = table.domain(a);
-    fp.Mix(static_cast<uint64_t>(domain.size()));
-    if (domain.type() == AttributeType::kNumeric) {
-      fp.Mix(static_cast<uint64_t>(domain.min_value()));
-      fp.Mix(static_cast<uint64_t>(domain.max_value()));
-    } else {
-      for (int32_t code = 0; code < domain.size(); ++code) {
-        fp.MixString(domain.CodeToString(code));
-      }
-    }
-    const std::vector<int32_t>& column = table.column(a);
-    fp.MixI32Span(column.data(), column.size());
-  }
-  return fp.digest();
-}
-
-uint64_t FingerprintTaxonomy(const Taxonomy& taxonomy) {
-  Fingerprinter fp;
-  fp.Mix(static_cast<uint64_t>(taxonomy.num_nodes()));
-  for (int id = 0; id < taxonomy.num_nodes(); ++id) {
-    const TaxonomyNode& node = taxonomy.node(id);
-    fp.Mix(static_cast<uint64_t>(static_cast<int64_t>(node.parent)));
-    fp.Mix(static_cast<uint64_t>(static_cast<uint32_t>(node.range.lo)));
-    fp.Mix(static_cast<uint64_t>(static_cast<uint32_t>(node.range.hi)));
-    fp.Mix(static_cast<uint64_t>(node.depth));
-    fp.MixString(node.label);
-  }
-  return fp.digest();
 }
 
 uint64_t FingerprintPublishedTable(const PublishedTable& published) {
@@ -90,21 +27,6 @@ uint64_t FingerprintPublishedTable(const PublishedTable& published) {
     fp.Mix(static_cast<uint64_t>(
         static_cast<uint32_t>(published.sensitive(row))));
     fp.Mix(static_cast<uint64_t>(published.group_size(row)));
-  }
-  return fp.digest();
-}
-
-uint64_t FingerprintTaxonomies(
-    const std::vector<const Taxonomy*>& taxonomies) {
-  Fingerprinter fp;
-  fp.Mix(taxonomies.size());
-  for (const Taxonomy* t : taxonomies) {
-    if (t == nullptr) {
-      fp.Mix(0);
-    } else {
-      fp.Mix(1);
-      fp.Mix(FingerprintTaxonomy(*t));
-    }
   }
   return fp.digest();
 }

@@ -2,17 +2,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
-#include <vector>
 
 #include "core/published_table.h"
-#include "hierarchy/taxonomy.h"
-#include "table/table.h"
 
 namespace pgpub::engine {
 
-/// \brief Streaming order-sensitive 64-bit content hash — the identity the
-/// engine's content-addressed caches key on (DESIGN.md §10).
+/// \brief Streaming order-sensitive 64-bit content hash — the TDS class-label
+/// key of the engine's recoding cache and the response digest of a release
+/// (DESIGN.md §10).
 ///
 /// SplitMix64-finalizer mixing: fast enough to digest a 700k-row table in
 /// milliseconds, with avalanche good enough that distinct inputs collide
@@ -34,7 +31,6 @@ class Fingerprinter {
     Mix(bits);
   }
 
-  void MixString(std::string_view s);
   void MixI32Span(const int32_t* data, size_t n);
 
   /// Final digest; folds in the element count so that e.g. {0} and {0,0}
@@ -51,22 +47,6 @@ class Fingerprinter {
   uint64_t state_ = 0x6c62272e07bb0142ULL;
   uint64_t count_ = 0;
 };
-
-/// Digest of a raw int32 sequence (e.g. a class-label vector).
-uint64_t FingerprintI32Span(const std::vector<int32_t>& values);
-
-/// Full content identity of a table: schema (names, types, roles), domains
-/// (sizes, numeric ranges, dictionary entries) and every cell.
-uint64_t FingerprintTable(const Table& table);
-
-/// Structural identity of a taxonomy: every node's parent, range, depth
-/// and label in node order.
-uint64_t FingerprintTaxonomy(const Taxonomy& taxonomy);
-
-/// Identity of a taxonomy family (order matters; null entries allowed —
-/// TDS treats them as data-driven splits, so null vs a real hierarchy must
-/// hash differently).
-uint64_t FingerprintTaxonomies(const std::vector<const Taxonomy*>& taxonomies);
 
 /// Response digest of a release: every published cell (generalized QI
 /// ids, perturbed sensitive codes, group sizes) plus the (p, k)

@@ -18,12 +18,6 @@
 
 namespace pgpub::engine {
 
-/// Structural taxonomy audit memoized process-wide by content fingerprint:
-/// the same hierarchy (by value, not by pointer) is audited once per
-/// process no matter how many engines, validations or requests touch it.
-/// Hit/miss activity shows up as `engine.taxonomy_audit.{hits,misses}`.
-[[nodiscard]] Status CachedTaxonomyAudit(const Taxonomy& taxonomy);
-
 /// Configuration of a PublicationEngine.
 struct EngineOptions {
   /// Worker threads for every request served by this engine (same 0/1/n
@@ -36,9 +30,6 @@ struct EngineOptions {
   /// GlobalRecodings (a few KB each); the SAL request grids of Section VII
   /// sweep a handful of k values, so a small cache already captures them.
   size_t recoding_cache_capacity = 32;
-
-  /// Capacity of the solved-p fixpoint cache (entries are one double).
-  size_t retention_cache_capacity = 512;
 
   /// Fail-closed policy applied to every request (attempts, fallback,
   /// release audit) — the engine serves through RobustPublisher.
@@ -60,9 +51,8 @@ struct EngineOptions {
 };
 
 /// One publication request against the engine's dataset. The engine
-/// validates it once per call through the consolidated
-/// PgOptions::Validate() taxonomy, then serves it with the engine-owned
-/// pool and caches.
+/// screens it with ValidateRequest (core/validate.h), then serves it with
+/// the engine-owned pool and recoding cache.
 struct PublishRequest {
   PgOptions options;
 
@@ -71,31 +61,26 @@ struct PublishRequest {
   /// PublishHooks::CheckDeadline, so an expired request stops before it
   /// wastes Phase-2 work and fails closed with DeadlineExceeded.
   uint64_t deadline_nanos = 0;
-
-  [[nodiscard]] Status Validate() const { return options.Validate(); }
 };
 
 /// \brief Multi-request publication server over one dataset + taxonomy
 /// family (DESIGN.md §10).
 ///
 /// Owns the microdata, its taxonomies, a resolved thread-pool lease, and
-/// two content-addressed caches:
+/// one recoding cache: Phase-2 generalizations keyed by (generalizer, k,
+/// class-label fingerprint) — the dominant per-request cost. TDS keys
+/// include the perturbed class labels its information gain consumed;
+/// Incognito ignores labels, so one lattice search is shared by every
+/// request that differs only in seed or retention. Retention p is solved
+/// per request: its closed-form bisection costs microseconds.
 ///
-///   - recoding cache: Phase-2 generalizations keyed by (generalizer, k,
-///     class-label fingerprint) — the dominant per-request cost. TDS keys
-///     include the perturbed class labels its information gain consumed;
-///     Incognito ignores labels, so one lattice search is shared by every
-///     request that differs only in seed or retention.
-///   - retention cache: solved-p fixpoints keyed by (target kind, ρ₁, ρ₂,
-///     Δ, λ, k, |Uˢ|).
-///
-/// The dataset-level input screen (taxonomy audits via CachedTaxonomyAudit,
-/// sensitive-code range scan, QI/taxonomy arity) runs once at Create;
-/// requests then skip the O(rows) per-call validation. Determinism
-/// contract: a cache hit is byte-identical to the computation it replaces,
-/// so whether a request is served warm or cold never changes the published
-/// bytes — only `PublishReport::cache` and timings differ. The
-/// cache-equivalence suite in tests/engine_test.cc pins this.
+/// Create screens the dataset once with ValidateDataset (core/validate.h);
+/// each request then runs only the O(1) ValidateRequest and skips the
+/// O(rows) per-call validation. Determinism contract: a cache hit is
+/// byte-identical to the computation it replaces, so whether a request is
+/// served warm or cold never changes the published bytes — only
+/// `PublishReport::cache` and timings differ. The cache-equivalence suite
+/// in tests/engine_test.cc pins this.
 ///
 /// Publish may be called from one thread at a time (requests
 /// internally fan out across the engine's pool; nested data parallelism is
@@ -113,7 +98,7 @@ class PublicationEngine {
   ~PublicationEngine();
 
   /// Serves one request fail-closed. `report`, when non-null, additionally
-  /// receives this request's cache activity in `report->cache`.
+  /// receives this request's recoding-cache activity in `report->cache`.
   [[nodiscard]] Result<PublishedTable> Publish(const PublishRequest& request,
                                                PublishReport* report =
                                                    nullptr);
@@ -124,33 +109,16 @@ class PublicationEngine {
   }
   int num_threads() const { return lease_.num_threads(); }
 
-  /// Content identities the caches are scoped to.
-  uint64_t table_fingerprint() const { return table_fingerprint_; }
-  uint64_t taxonomy_fingerprint() const { return taxonomy_fingerprint_; }
-
   CacheStats recoding_cache_stats() const { return recoding_cache_.stats(); }
-  CacheStats retention_cache_stats() const {
-    return retention_cache_.stats();
-  }
-  /// Both caches combined — what PublishReport::cache deltas are cut from.
-  CacheStats combined_cache_stats() const;
 
  private:
   class Hooks;
 
   /// (generalizer, k, class-label fingerprint; 0 for Incognito).
   using RecodingKey = std::tuple<int, int, uint64_t>;
-  /// (target kind, ρ₁ bits, ρ₂ bits, Δ bits, λ bits, k, |Uˢ|).
-  using RetentionKey =
-      std::tuple<int, uint64_t, uint64_t, uint64_t, uint64_t, int, int>;
 
   PublicationEngine(Table microdata, std::vector<Taxonomy> taxonomies,
-                    EngineOptions options, int sensitive_index);
-
-  /// The cheap per-request half of ValidatePublishInputs (the O(rows) half
-  /// ran at Create): consolidated option checks, class categories against
-  /// |Uˢ|, and the rows >= k floor.
-  [[nodiscard]] Status ValidateRequest(const PublishRequest& request) const;
+                    EngineOptions options);
 
   /// Monotonic now on the engine clock (EngineOptions::now_nanos, else
   /// std::chrono::steady_clock).
@@ -160,17 +128,12 @@ class PublicationEngine {
   std::vector<Taxonomy> taxonomies_;
   std::vector<const Taxonomy*> taxonomy_ptrs_;
   EngineOptions options_;
-  int sensitive_index_ = -1;
-  int sensitive_domain_size_ = 0;
   PoolLease lease_;
-  uint64_t table_fingerprint_ = 0;
-  uint64_t taxonomy_fingerprint_ = 0;
   /// Deadline of the request currently inside Publish (0 = none). Plain
   /// member, not atomic: Publish is single-threaded by contract, and the
   /// hooks read it from the same thread.
   uint64_t current_deadline_nanos_ = 0;
   LruCache<RecodingKey, GlobalRecoding> recoding_cache_;
-  LruCache<RetentionKey, double> retention_cache_;
   std::unique_ptr<Hooks> hooks_;
 };
 

@@ -17,13 +17,12 @@
 #include "core/publish_hooks.h"
 #include "core/report_io.h"
 #include "core/robust_publisher.h"
+#include "core/validate.h"
 #include "datagen/census.h"
 #include "datagen/clinic.h"
 #include "datagen/hospital.h"
-#include "engine/fingerprint.h"
 #include "engine/lru_cache.h"
 #include "engine/publication_engine.h"
-#include "obs/metrics.h"
 
 namespace pgpub {
 namespace {
@@ -197,7 +196,7 @@ TEST(CacheEquivalenceTest, WarmEqualsColdAcrossDatasetsGeneralizersThreads) {
   }
 }
 
-TEST(CacheEquivalenceTest, SolvedRetentionIsCachedAndByteIdentical) {
+TEST(CacheEquivalenceTest, SolvedRetentionIsByteIdentical) {
   CensusDataset census = GenerateCensus(1200, 3).ValueOrDie();
   PublishRequest request;
   request.options.k = 6;
@@ -215,9 +214,7 @@ TEST(CacheEquivalenceTest, SolvedRetentionIsCachedAndByteIdentical) {
   auto engine =
       PublicationEngine::Create(census.table, census.taxonomies).ValueOrDie();
   const PublishedTable cold = engine->Publish(request).ValueOrDie();
-  EXPECT_EQ(engine->retention_cache_stats().misses, 1u);
   const PublishedTable warm = engine->Publish(request).ValueOrDie();
-  EXPECT_EQ(engine->retention_cache_stats().hits, 1u);
 
   EXPECT_EQ(Flatten(cold), Flatten(reference));
   EXPECT_EQ(Flatten(warm), Flatten(reference));
@@ -382,40 +379,111 @@ TEST(PublicationEngineTest, PublishRejectsBadRequests) {
   EXPECT_TRUE(engine->Publish(bad_options).status().IsInvalidArgument());
 }
 
-TEST(PublicationEngineTest, FingerprintsIdentifyContent) {
-  CensusDataset census_a = GenerateCensus(200, 12).ValueOrDie();
-  CensusDataset census_b = GenerateCensus(200, 12).ValueOrDie();
-  CensusDataset clinic = GenerateClinic(200, 12).ValueOrDie();
-
-  auto engine_a = PublicationEngine::Create(census_a.table,
-                                            census_a.taxonomies)
-                      .ValueOrDie();
-  auto engine_b = PublicationEngine::Create(census_b.table,
-                                            census_b.taxonomies)
-                      .ValueOrDie();
-  auto engine_c =
-      PublicationEngine::Create(clinic.table, clinic.taxonomies).ValueOrDie();
-
-  EXPECT_NE(engine_a->table_fingerprint(), 0u);
-  EXPECT_EQ(engine_a->table_fingerprint(), engine_b->table_fingerprint());
-  EXPECT_EQ(engine_a->taxonomy_fingerprint(),
-            engine_b->taxonomy_fingerprint());
-  EXPECT_NE(engine_a->table_fingerprint(), engine_c->table_fingerprint());
-  EXPECT_NE(engine_a->taxonomy_fingerprint(),
-            engine_c->taxonomy_fingerprint());
+/// Two-attribute table (q over [0, 8), s over [0, sensitive_values)) for
+/// the schema-level negative cases the census fixture cannot express.
+Table TinyTable(AttributeRole q_role, int32_t sensitive_values) {
+  Schema schema;
+  schema.AddAttribute({"q", AttributeType::kNumeric, q_role});
+  schema.AddAttribute(
+      {"s", AttributeType::kNumeric, AttributeRole::kSensitive});
+  std::vector<AttributeDomain> domains = {
+      AttributeDomain::Numeric(0, 7),
+      AttributeDomain::Numeric(0, sensitive_values - 1)};
+  std::vector<std::vector<int32_t>> cols(2);
+  for (int32_t i = 0; i < 40; ++i) {
+    cols[0].push_back(i % 8);
+    cols[1].push_back(i % sensitive_values);
+  }
+  return Table::Create(schema, domains, std::move(cols)).ValueOrDie();
 }
 
-TEST(CachedTaxonomyAuditTest, MemoizesByContent) {
-  CensusDataset census = GenerateCensus(100, 13).ValueOrDie();
-  obs::Counter* hits = obs::MetricsRegistry::Global().GetCounter(
-      "engine.taxonomy_audit.hits");
-  const uint64_t hits_before = hits->value();
+/// The engine screens the dataset at Create and each request at Publish;
+/// together the two must reject exactly what the one-shot validator and
+/// RobustPublisher reject, with the same StatusCode.
+TEST(PublicationEngineTest, RejectsWhatValidateRejects) {
+  CensusDataset census = GenerateCensus(30, 11).ValueOrDie();
+  const int32_t us = census.table
+                         .domain(census.table.schema().SensitiveIndex()
+                                     .ValueOrDie())
+                         .size();
+  PgOptions good;
+  good.k = 4;
+  good.p = 0.3;
+  good.seed = 1;
 
-  // A value copy has the same content fingerprint: second audit is a hit.
-  const Taxonomy copy = census.taxonomies[0];
-  ASSERT_TRUE(engine::CachedTaxonomyAudit(census.taxonomies[0]).ok());
-  ASSERT_TRUE(engine::CachedTaxonomyAudit(copy).ok());
-  EXPECT_GT(hits->value(), hits_before);
+  struct Case {
+    std::string name;
+    Table table;
+    std::vector<Taxonomy> taxonomies;
+    PgOptions options;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"no QI attribute",
+                   TinyTable(AttributeRole::kRegular, 4), {}, good});
+  {
+    std::vector<Taxonomy> short_family = census.taxonomies;
+    short_family.pop_back();
+    cases.push_back({"too few taxonomies", census.table,
+                     std::move(short_family), good});
+  }
+  {
+    std::vector<Taxonomy> wrong = census.taxonomies;
+    wrong[0] = Taxonomy::Binary(3, "wrong");
+    cases.push_back({"taxonomy domain mismatch", census.table,
+                     std::move(wrong), good});
+  }
+  {
+    std::vector<Taxonomy> unaudited = census.taxonomies;
+    unaudited[0] = Taxonomy();  // No nodes: Audit rejects it.
+    cases.push_back({"taxonomy fails Audit", census.table,
+                     std::move(unaudited), good});
+  }
+  cases.push_back({"|U^s| < 2", TinyTable(AttributeRole::kQuasiIdentifier, 1),
+                   {Taxonomy::Binary(8, "*")}, good});
+  {
+    PgOptions options = good;
+    options.k = 50;  // More than the 30 rows.
+    cases.push_back({"k > rows", census.table, census.taxonomies, options});
+  }
+  {
+    PgOptions options = good;
+    options.k = 0;
+    options.s = -1.0;
+    cases.push_back({"s = -1", census.table, census.taxonomies, options});
+  }
+  {
+    PgOptions options = good;
+    options.p = -1.0;  // Solve requested with no target.
+    cases.push_back(
+        {"p < 0 without target", census.table, census.taxonomies, options});
+  }
+  {
+    PgOptions options = good;
+    options.class_category_starts = {0, us};
+    cases.push_back({"class_category_starts beyond |U^s|", census.table,
+                     census.taxonomies, options});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<const Taxonomy*> pointers;
+    for (const Taxonomy& t : c.taxonomies) pointers.push_back(&t);
+
+    const Status validate = ValidatePublishInputs(c.table, pointers, c.options);
+    ASSERT_FALSE(validate.ok());
+    const Status robust =
+        RobustPublisher(c.options).Publish(c.table, pointers).status();
+    EXPECT_EQ(robust.code(), validate.code()) << robust.ToString();
+
+    auto engine = PublicationEngine::Create(c.table, c.taxonomies);
+    Status served = engine.status();
+    if (engine.ok()) {
+      PublishRequest request;
+      request.options = c.options;
+      served = (*engine)->Publish(request).status();
+    }
+    EXPECT_EQ(served.code(), validate.code()) << served.ToString();
+  }
 }
 
 // ----------------------------------------------------------- deadlines

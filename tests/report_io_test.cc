@@ -87,6 +87,28 @@ TEST(ReportIoTest, EmptyReportRoundTrips) {
   ExpectReportEq(report, *parsed);
 }
 
+/// Every StatusCode must read back, not just the ones a clean run emits:
+/// an engine request that ran past its deadline reports DeadlineExceeded.
+/// Codes are enumerated until StatusCodeToString stops naming them, so a
+/// newly appended code is covered without editing this test.
+TEST(ReportIoTest, EveryStatusCodeRoundTrips) {
+  int codes = 0;
+  for (int c = 0; StatusCodeToString(static_cast<StatusCode>(c)) != "Unknown";
+       ++c) {
+    const auto code = static_cast<StatusCode>(c);
+    SCOPED_TRACE(std::string(StatusCodeToString(code)));
+    PublishReport report = MakeReport();
+    report.attempts[0].outcome = Status(code, "attempt outcome");
+    report.final_status = Status(code, "final status");
+    const auto parsed =
+        PublishReportFromJson(PublishReportToJsonString(report));
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (parsed.ok()) ExpectReportEq(report, *parsed);
+    ++codes;
+  }
+  EXPECT_GE(codes, 12);
+}
+
 TEST(ReportIoTest, JsonDocumentShape) {
   const obs::JsonValue doc = PublishReportToJson(MakeReport());
   EXPECT_EQ(doc.Find("schema_version")->AsInt64().ValueOrDie(), 1);

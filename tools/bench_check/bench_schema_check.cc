@@ -147,6 +147,13 @@ bool CheckFile(const std::string& file) {
         errors += file + ": unsupported schema_version " +
                   std::to_string(v) + "\n";
       }
+      // Every artifact says what machine it ran on (BenchReport records
+      // it), so numbers from different hosts are never compared blind.
+      const JsonValue* hardware =
+          doc.Find("params")->Find("hardware_threads");
+      if (hardware == nullptr || !hardware->is_integer()) {
+        errors += file + ": params lack an integer 'hardware_threads'\n";
+      }
       for (const JsonValue& row : doc.Find("results")->items()) {
         if (!row.is_object()) {
           errors += file + ": results row is not an object\n";
