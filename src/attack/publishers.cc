@@ -8,6 +8,7 @@
 #include "common/string_util.h"
 #include "core/guarantees.h"
 #include "core/robust_publisher.h"
+#include "core/validate.h"
 #include "diversity/beta_likeness.h"
 #include "generalize/tds.h"
 
@@ -61,12 +62,12 @@ Result<Release> PgScenarioPublisher::Publish(const ScenarioDataset& dataset,
   pg.keep_provenance = true;
   pg.num_threads = options.publish_threads;
 
+  ASSIGN_OR_RETURN(ValidatedDataset validated,
+                   ValidateDataset(*dataset.microdata, dataset.taxonomies));
   Result<PublishedTable> published =
       config_.robust
-          ? RobustPublisher(pg).Publish(*dataset.microdata, dataset.taxonomies,
-                                        /*report=*/nullptr, hooks)
-          : PgPublisher(pg).Publish(*dataset.microdata, dataset.taxonomies,
-                                    hooks);
+          ? RobustPublisher(pg).Publish(validated, /*report=*/nullptr, hooks)
+          : PgPublisher(pg).Publish(validated, hooks);
   RETURN_IF_ERROR(published.status());
 
   Release release;

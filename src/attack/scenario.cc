@@ -37,10 +37,9 @@ Status BreachHarnessOptions::Validate() const {
 Result<BreachStats> BreachScenario::Run(const Publisher& publisher,
                                         const AdversaryModel& adversary,
                                         const ScenarioDataset& dataset,
-                                        const ScenarioOptions& options,
-                                        PublishHooks* hooks) {
+                                        const ScenarioOptions& options) {
   RETURN_IF_ERROR(options.harness.Validate());
-  Result<Release> release = publisher.Publish(dataset, options, hooks);
+  Result<Release> release = publisher.Publish(dataset, options, nullptr);
   if (!release.ok()) {
     return release.status().WithContext(
         StrFormat("publisher '%s' failed on dataset '%s'",

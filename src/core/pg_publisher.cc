@@ -127,19 +127,20 @@ Result<double> PgPublisher::EffectiveRetention(const PgOptions& options,
 
 Result<PublishedTable> PgPublisher::Publish(
     const Table& microdata,
-    const std::vector<const Taxonomy*>& taxonomies,
-    PublishHooks* hooks) const {
-  // All user-controlled input is screened here; the phases below may
-  // treat violations of these properties as internal bugs. A serving
-  // layer that already screened the (dataset, taxonomies, options) triple
-  // may mark them prevalidated, which skips this O(rows) pass.
-  if (hooks == nullptr || !hooks->inputs_prevalidated()) {
-    RETURN_IF_ERROR(ValidatePublishInputs(microdata, taxonomies, options_));
-  }
+    const std::vector<const Taxonomy*>& taxonomies) const {
+  ASSIGN_OR_RETURN(ValidatedDataset dataset,
+                   ValidateDataset(microdata, taxonomies));
+  return Publish(dataset);
+}
 
-  const std::vector<int> qi = microdata.schema().QiIndices();
-  ASSIGN_OR_RETURN(int sens, microdata.schema().SensitiveIndex());
-  const int32_t us = microdata.domain(sens).size();
+Result<PublishedTable> PgPublisher::Publish(const ValidatedDataset& dataset,
+                                            PublishHooks* hooks) const {
+  // Past both screens, the phases below treat violations as internal bugs.
+  RETURN_IF_ERROR(ValidateRequest(dataset, options_));
+
+  const Table& microdata = dataset.microdata;
+  const int sens = dataset.sensitive;
+  const int32_t us = dataset.sensitive_domain_size;
   ASSIGN_OR_RETURN(int k, EffectiveK(options_));
 
   ASSIGN_OR_RETURN(double p, EffectiveRetention(options_, k, us));
@@ -256,16 +257,17 @@ Result<PublishedTable> PgPublisher::Publish(
       // re-reads it through recoding_query to compute the cache key.
       std::vector<int32_t> tds_labels =
           hooks != nullptr ? class_labels : std::move(class_labels);
-      TopDownSpecializer tds(microdata, qi, taxonomies, std::move(tds_labels),
-                             num_classes, tds_options);
+      TopDownSpecializer tds(microdata, dataset.qi, dataset.taxonomies,
+                             std::move(tds_labels), num_classes, tds_options);
       ASSIGN_OR_RETURN(recoding, tds.Run());
       if (hooks != nullptr) hooks->StoreRecoding(recoding_query, recoding);
     } else {
       IncognitoOptions inc_options;
       inc_options.k = k;
       inc_options.pool = pool;
-      ASSIGN_OR_RETURN(
-          recoding, IncognitoSearch(microdata, qi, taxonomies, inc_options));
+      ASSIGN_OR_RETURN(recoding, IncognitoSearch(microdata, dataset.qi,
+                                                 dataset.taxonomies,
+                                                 inc_options));
       if (hooks != nullptr) hooks->StoreRecoding(recoding_query, recoding);
     }
 

@@ -12,6 +12,7 @@
 namespace pgpub {
 
 class PublishHooks;  // core/publish_hooks.h — serving-layer cache injection.
+class ValidatedDataset;  // core/validate.h — a screened (table, taxonomies).
 
 /// Declarative privacy target: instead of fixing p, ask the publisher to
 /// pick the largest p (best utility) that establishes the guarantee.
@@ -61,14 +62,11 @@ struct PgOptions {
   /// wall-clock only (see DESIGN.md §9).
   int num_threads = 0;
 
-  /// The one home of every option-bundle rule (the checks used to be
-  /// scattered across pg_publisher.cc, robust_publisher.cc and
-  /// core/validate.cc): k >= 0, s in (0,1] when k is derived from it,
-  /// p in [0,1] or negative with a well-formed solvable target,
-  /// num_threads >= 0, and structurally valid class_category_starts.
-  /// Every entry point (PgPublisher, RobustPublisher, PublicationEngine)
-  /// funnels through this, so callers see one error taxonomy. Checks that
-  /// additionally need the sensitive domain size live in
+  /// The one home of every option-bundle rule: k >= 0, s in (0,1] when k
+  /// is derived from it, p in [0,1] or negative with a well-formed
+  /// solvable target, num_threads >= 0, and structurally valid
+  /// class_category_starts. Every entry point funnels through this, so
+  /// callers see one error taxonomy. Checks that also need |U^s| live in
   /// ValidatePgOptions (core/validate.h), which calls this first.
   [[nodiscard]] Status Validate() const;
 
@@ -90,17 +88,19 @@ class PgPublisher {
 
   /// Publishes `microdata`. `taxonomies` is parallel to the schema's QI
   /// attributes, one non-null taxonomy each (InvalidArgument otherwise).
-  ///
-  /// `hooks` (optional) is the serving-layer injection point
-  /// (core/publish_hooks.h): it can mark inputs as prevalidated, share a
-  /// long-lived pool lease, and memoize the Phase-2 recoding. A null hooks
-  /// pointer is the one-shot path, byte-for-byte; a cache hit must be
-  /// byte-equivalent to the computation it skips, so the published table
-  /// is identical either way.
+  /// Screens them with ValidateDataset, then runs the pipeline below.
   [[nodiscard]] Result<PublishedTable> Publish(
       const Table& microdata,
-      const std::vector<const Taxonomy*>& taxonomies,
-      PublishHooks* hooks = nullptr) const;
+      const std::vector<const Taxonomy*>& taxonomies) const;
+
+  /// The pipeline over a screened dataset; checks only ValidateRequest.
+  /// `hooks` (optional) is the serving-layer injection point
+  /// (core/publish_hooks.h): it can share a long-lived pool lease and
+  /// memoize the Phase-2 recoding. A null hooks pointer is the one-shot
+  /// path, byte-for-byte; a cache hit must be byte-equivalent to the
+  /// computation it skips, so the published table is identical either way.
+  [[nodiscard]] Result<PublishedTable> Publish(
+      const ValidatedDataset& dataset, PublishHooks* hooks = nullptr) const;
 
   /// The effective k for a given options bundle: options.k, or ceil(1/s).
   [[nodiscard]] static Result<int> EffectiveK(const PgOptions& options);

@@ -47,11 +47,6 @@ class PublishHooks {
   /// the publish call (hooks instances are per-tenant and long-lived).
   virtual std::string_view tenant_label() const { return {}; }
 
-  /// True when the dataset, taxonomies, and request options were already
-  /// screened by the caller (ValidatePublishInputs-equivalent), letting the
-  /// pipeline skip its O(rows) per-call input validation.
-  virtual bool inputs_prevalidated() const { return false; }
-
   /// Long-lived pool lease shared across requests; null means "resolve a
   /// lease per call from PgOptions::num_threads" (the one-shot behaviour).
   virtual const PoolLease* pool_lease() const { return nullptr; }

@@ -61,11 +61,6 @@ class PublishedTable {
   /// The G attribute (stratum size, step S3).
   uint32_t group_size(size_t row) const { return group_size_[row]; }
 
-  /// The covered raw-code interval of a published cell.
-  Interval QiInterval(size_t row, int qi_index) const {
-    return recoding_.per_attr[qi_index].GenInterval(qi_gen_[row][qi_index]);
-  }
-
   /// Renders a published QI cell (taxonomy label where one matches).
   std::string RenderQi(size_t row, int qi_index,
                        const Taxonomy* taxonomy) const;

@@ -84,22 +84,21 @@ uint64_t RobustPublisher::AttemptSeed(uint64_t base_seed, int number) {
   return sm.Next();
 }
 
-Status RobustPublisher::AuditRelease(const Table& microdata,
+Status RobustPublisher::AuditRelease(const ValidatedDataset& dataset,
                                      const PublishedTable& published) const {
   PGPUB_FAILPOINT(failpoints::kPublishAudit);
-  RETURN_IF_ERROR(
-      VerifyPublication(microdata, published).WithContext("release audit"));
+  RETURN_IF_ERROR(VerifyPublication(dataset.microdata, published)
+                      .WithContext("release audit"));
 
   // Re-establish the declared guarantee from the parameters the release
   // actually used — a solver or plumbing bug must not ship quietly.
   if (options_.p < 0.0 &&
       options_.target.kind != PrivacyTarget::Kind::kNone) {
-    ASSIGN_OR_RETURN(int sens, microdata.schema().SensitiveIndex());
     PgParams params;
     params.p = published.retention_p();
     params.k = published.k();
     params.lambda = options_.target.lambda;
-    params.sensitive_domain_size = microdata.domain(sens).size();
+    params.sensitive_domain_size = dataset.sensitive_domain_size;
     if (options_.target.kind == PrivacyTarget::Kind::kRho &&
         !SatisfiesRhoGuarantee(params, options_.target.rho1,
                                options_.target.rho2)) {
@@ -121,7 +120,19 @@ Status RobustPublisher::AuditRelease(const Table& microdata,
 
 Result<PublishedTable> RobustPublisher::Publish(
     const Table& microdata, const std::vector<const Taxonomy*>& taxonomies,
-    PublishReport* report, PublishHooks* hooks) const {
+    PublishReport* report) const {
+  Result<ValidatedDataset> dataset = ValidateDataset(microdata, taxonomies);
+  if (dataset.ok()) return Publish(*dataset, report);
+  if (report != nullptr) {
+    *report = PublishReport{};
+    report->final_status = dataset.status();
+  }
+  return dataset.status();
+}
+
+Result<PublishedTable> RobustPublisher::Publish(
+    const ValidatedDataset& dataset, PublishReport* report,
+    PublishHooks* hooks) const {
   PublishReport local;
   PublishReport& rep = report != nullptr ? *report : local;
   rep = PublishReport{};
@@ -139,19 +150,10 @@ Result<PublishedTable> RobustPublisher::Publish(
     return status;
   };
 
-  if (Status st = policy_.Validate(); !st.ok()) {
-    return finish(st);
-  }
-
-  // Malformed input is permanent: retrying cannot repair a broken
-  // taxonomy or an unsatisfiable target. A serving layer that already
-  // screened this (dataset, taxonomies, options) triple skips the pass.
-  if (hooks == nullptr || !hooks->inputs_prevalidated()) {
-    if (Status st = ValidatePublishInputs(microdata, taxonomies, options_);
-        !st.ok()) {
-      return finish(st);
-    }
-  }
+  // A malformed request is permanent: retrying cannot repair it.
+  Status screen = policy_.Validate();
+  if (screen.ok()) screen = ValidateRequest(dataset, options_);
+  if (!screen.ok()) return finish(screen);
 
   std::vector<PgOptions::Generalizer> rounds = {options_.generalizer};
   if (policy_.allow_generalizer_fallback) {
@@ -202,7 +204,7 @@ Result<PublishedTable> RobustPublisher::Publish(
         attempt_span.Attr("attempt", attempt_number);
         if (!tenant.empty()) attempt_span.Attr("tenant", tenant);
         Result<PublishedTable> result =
-            PgPublisher(attempt_options).Publish(microdata, taxonomies, hooks);
+            PgPublisher(attempt_options).Publish(dataset, hooks);
         attempt_span.Attr("ok", result.ok());
         return result;
       }();
@@ -210,7 +212,7 @@ Result<PublishedTable> RobustPublisher::Publish(
 
       if (candidate.ok()) {
         attempt.audited = true;
-        attempt.audit = AuditRelease(microdata, *candidate);
+        attempt.audit = AuditRelease(dataset, *candidate);
         PGPUB_LOG_INFO("publish.audit")
             .Field("attempt", attempt_number)
             .Field("clean", attempt.audit.ok())

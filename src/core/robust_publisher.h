@@ -72,8 +72,8 @@ struct PublishReport {
 /// than no release (the paper's guarantees must hold against adversaries
 /// who know the algorithm — Lemma 2). RobustPublisher therefore:
 ///
-///  1. screens all inputs via ValidatePublishInputs (malformed input is a
-///     permanent failure — no retry),
+///  1. screens the dataset once (ValidateDataset) and the request
+///     (ValidateRequest); malformed input is permanent — no retry,
 ///  2. runs PgPublisher with bounded retries, reseeding deterministically
 ///     per attempt, and optionally falls back TDS -> Incognito,
 ///  3. audits every candidate release with VerifyPublication and
@@ -91,13 +91,19 @@ class RobustPublisher {
   /// Publishes `microdata` under the fail-closed policy. On success the
   /// returned table passed the full audit; on failure no table escapes.
   /// `report`, when non-null, receives the attempt-by-attempt account
-  /// regardless of the outcome. `hooks` (optional) is forwarded to every
-  /// PgPublisher attempt — see PgPublisher::Publish; when it reports the
-  /// inputs prevalidated, the O(rows) input screen here is skipped too.
+  /// regardless of the outcome. Screens the dataset once with
+  /// ValidateDataset, whatever the retries, then runs the pipeline below.
   [[nodiscard]] Result<PublishedTable> Publish(
       const Table& microdata,
       const std::vector<const Taxonomy*>& taxonomies,
-      PublishReport* report = nullptr, PublishHooks* hooks = nullptr) const;
+      PublishReport* report = nullptr) const;
+
+  /// The pipeline over a screened dataset; checks only the policy and
+  /// ValidateRequest. `hooks` (optional) is forwarded to every PgPublisher
+  /// attempt — see PgPublisher::Publish.
+  [[nodiscard]] Result<PublishedTable> Publish(
+      const ValidatedDataset& dataset, PublishReport* report = nullptr,
+      PublishHooks* hooks = nullptr) const;
 
   /// The master seed attempt `number` (1-based) derives its RNG from.
   /// Attempt 1 uses the options seed unchanged, so a RobustPublisher with
@@ -107,8 +113,8 @@ class RobustPublisher {
  private:
   /// Audits a candidate release; OK only when VerifyPublication passes
   /// and the declared privacy target (if any) is still established.
-  [[nodiscard]] Status AuditRelease(const Table& microdata,
-                      const PublishedTable& published) const;
+  [[nodiscard]] Status AuditRelease(const ValidatedDataset& dataset,
+                                    const PublishedTable& published) const;
 
   PgOptions options_;
   RobustPublishOptions policy_;

@@ -1,6 +1,7 @@
 #include "core/validate.h"
 
 #include <string>
+#include <utility>
 
 #include "common/failpoint.h"
 
@@ -31,9 +32,10 @@ Status ValidateTaxonomy(const Taxonomy& taxonomy, int32_t domain_size) {
   return Status::OK();
 }
 
-Status ValidateDataset(const Table& microdata,
-                       const std::vector<const Taxonomy*>& taxonomies) {
-  const std::vector<int> qi = microdata.schema().QiIndices();
+Result<ValidatedDataset> ValidateDataset(
+    const Table& microdata, const std::vector<const Taxonomy*>& taxonomies) {
+  PGPUB_FAILPOINT(failpoints::kPublishValidate);
+  std::vector<int> qi = microdata.schema().QiIndices();
   if (qi.empty()) {
     return Status::InvalidArgument("schema declares no QI attributes");
   }
@@ -60,27 +62,17 @@ Status ValidateDataset(const Table& microdata,
         ValidateTaxonomy(*taxonomies[i], microdata.domain(qi[i]).size())
             .WithContext("taxonomy of QI attribute " + name));
   }
-
-  // Sensitive codes must lie in [0, |U^s|): Phase 1 indexes the
-  // perturbation channel by them.
-  const std::vector<int32_t>& sens_col = microdata.column(sens);
-  for (size_t r = 0; r < sens_col.size(); ++r) {
-    if (sens_col[r] < 0 || sens_col[r] >= us) {
-      return Status::InvalidArgument(
-          "sensitive code out of range at row " + std::to_string(r) +
-          ": " + std::to_string(sens_col[r]));
-    }
-  }
-  return Status::OK();
+  return ValidatedDataset(microdata, taxonomies, std::move(qi), sens, us);
 }
 
-Status ValidateRequest(const Table& microdata, const PgOptions& options) {
-  ASSIGN_OR_RETURN(int sens, microdata.schema().SensitiveIndex());
-  RETURN_IF_ERROR(ValidatePgOptions(options, microdata.domain(sens).size()));
+Status ValidateRequest(const ValidatedDataset& dataset,
+                       const PgOptions& options) {
+  RETURN_IF_ERROR(ValidatePgOptions(options, dataset.sensitive_domain_size));
   ASSIGN_OR_RETURN(int k, PgPublisher::EffectiveK(options));
-  if (microdata.num_rows() < static_cast<size_t>(k)) {
+  const size_t rows = dataset.microdata.num_rows();
+  if (rows < static_cast<size_t>(k)) {
     return Status::FailedPrecondition(
-        "microdata has fewer rows (" + std::to_string(microdata.num_rows()) +
+        "microdata has fewer rows (" + std::to_string(rows) +
         ") than k (" + std::to_string(k) + ")");
   }
   return Status::OK();
@@ -89,9 +81,9 @@ Status ValidateRequest(const Table& microdata, const PgOptions& options) {
 Status ValidatePublishInputs(const Table& microdata,
                              const std::vector<const Taxonomy*>& taxonomies,
                              const PgOptions& options) {
-  PGPUB_FAILPOINT(failpoints::kPublishValidate);
-  RETURN_IF_ERROR(ValidateDataset(microdata, taxonomies));
-  return ValidateRequest(microdata, options);
+  ASSIGN_OR_RETURN(ValidatedDataset dataset,
+                   ValidateDataset(microdata, taxonomies));
+  return ValidateRequest(dataset, options);
 }
 
 }  // namespace pgpub

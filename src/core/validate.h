@@ -1,7 +1,9 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "core/pg_publisher.h"
 #include "hierarchy/taxonomy.h"
@@ -9,14 +11,10 @@
 
 namespace pgpub {
 
-/// \brief Strict pre-publication input validation.
-///
-/// Everything a data owner hands the publisher — the microdata table, the
-/// generalization taxonomies, and the options bundle — is untrusted. This
-/// pass checks all of it up front and returns `Status` (never aborts), so
-/// the publish pipeline behind it can treat violations of these
-/// properties as internal bugs. The Status-vs-CHECK contract is
-/// documented in DESIGN.md ("Error handling & failure model").
+/// \brief Strict pre-publication input validation. Everything a data owner
+/// hands the publisher (table, taxonomies, options) is untrusted; these
+/// checks return `Status` (never abort), so the pipeline behind them may
+/// treat violations as internal bugs (DESIGN.md, "Error handling").
 
 /// Validates an options bundle against a sensitive domain of
 /// `sensitive_domain_size` values: s in (0,1], k >= 0, p in [0,1] or
@@ -30,18 +28,40 @@ namespace pgpub {
 /// root width).
 [[nodiscard]] Status ValidateTaxonomy(const Taxonomy& taxonomy, int32_t domain_size);
 
-/// The O(rows) half of the publish screen, everything fixed by the dataset
-/// alone: schema roles (>= 1 QI, exactly one sensitive attribute with >= 2
-/// values), one non-null taxonomy per QI attribute passing
-/// ValidateTaxonomy, and sensitive codes in range. A serving layer that
-/// owns one dataset runs this once, when it takes the dataset.
-[[nodiscard]] Status ValidateDataset(
+/// \brief A (microdata, taxonomies) pair that passed ValidateDataset, the
+/// only code that can make one; every publish pipeline takes it and then
+/// checks only the request. It refers to the table and the taxonomies
+/// (the pointer list is copied), which must outlive it.
+class ValidatedDataset {
+ public:
+  const Table& microdata;
+  const std::vector<const Taxonomy*> taxonomies;  ///< Parallel to `qi`.
+  const std::vector<int> qi;
+  const int sensitive;
+  const int32_t sensitive_domain_size;  ///< |U^s| >= 2.
+
+ private:
+  friend Result<ValidatedDataset> ValidateDataset(
+      const Table& microdata, const std::vector<const Taxonomy*>& taxonomies);
+  ValidatedDataset(const Table& table, std::vector<const Taxonomy*> tax,
+                   std::vector<int> qi_attrs, int sens, int32_t us)
+      : microdata(table), taxonomies(std::move(tax)),
+        qi(std::move(qi_attrs)), sensitive(sens), sensitive_domain_size(us) {}
+};
+
+/// The dataset half of the publish screen: schema roles (>= 1 QI, one
+/// sensitive attribute with >= 2 values) and one non-null taxonomy per QI
+/// attribute passing ValidateTaxonomy. O(taxonomy nodes), since Table
+/// already keeps every code in its domain. Evaluates `publish.validate`.
+[[nodiscard]] Result<ValidatedDataset> ValidateDataset(
     const Table& microdata, const std::vector<const Taxonomy*>& taxonomies);
+/// Refused: a temporary table would leave the result dangling.
+Result<ValidatedDataset> ValidateDataset(
+    Table&&, const std::vector<const Taxonomy*>&) = delete;
 
 /// The O(1) half, everything that varies per request: ValidatePgOptions
-/// against the table's sensitive domain and enough rows for the effective
-/// k. Assumes nothing about the taxonomies.
-[[nodiscard]] Status ValidateRequest(const Table& microdata,
+/// against |U^s| and enough rows for the effective k.
+[[nodiscard]] Status ValidateRequest(const ValidatedDataset& dataset,
                                      const PgOptions& options);
 
 /// Full pre-flight check of a publish call: ValidateDataset, then

@@ -26,13 +26,12 @@ Status EngineOptions::Validate() const {
 }
 
 /// The PublishHooks implementation the engine threads through
-/// RobustPublisher into PgPublisher: marks inputs prevalidated, shares the
-/// engine's pool lease, and adapts recoding queries to cache keys.
+/// RobustPublisher into PgPublisher: shares the engine's pool lease,
+/// checks the request deadline, and adapts recoding queries to cache keys.
 class PublicationEngine::Hooks final : public PublishHooks {
  public:
   explicit Hooks(PublicationEngine* engine) : engine_(engine) {}
 
-  bool inputs_prevalidated() const override { return true; }
   const PoolLease* pool_lease() const override { return &engine_->lease_; }
   std::string_view tenant_label() const override {
     return engine_->options_.tenant_label;
@@ -92,10 +91,7 @@ PublicationEngine::PublicationEngine(Table microdata,
       options_(options),
       lease_(options.num_threads),
       recoding_cache_("recoding", options.recoding_cache_capacity),
-      hooks_(std::make_unique<Hooks>(this)) {
-  taxonomy_ptrs_.reserve(taxonomies_.size());
-  for (const Taxonomy& t : taxonomies_) taxonomy_ptrs_.push_back(&t);
-}
+      hooks_(std::make_unique<Hooks>(this)) {}
 
 PublicationEngine::~PublicationEngine() = default;
 
@@ -103,15 +99,14 @@ Result<std::unique_ptr<PublicationEngine>> PublicationEngine::Create(
     Table microdata, std::vector<Taxonomy> taxonomies,
     EngineOptions options) {
   RETURN_IF_ERROR(options.Validate());
-  std::vector<const Taxonomy*> taxonomy_ptrs;
-  taxonomy_ptrs.reserve(taxonomies.size());
-  for (const Taxonomy& t : taxonomies) taxonomy_ptrs.push_back(&t);
-  // The O(rows) half of ValidatePublishInputs, paid exactly once for the
-  // engine's lifetime: every request then runs with
-  // inputs_prevalidated() == true.
-  RETURN_IF_ERROR(ValidateDataset(microdata, taxonomy_ptrs));
   std::unique_ptr<PublicationEngine> engine(new PublicationEngine(
       std::move(microdata), std::move(taxonomies), options));
+  // Screened once, over the members the ValidatedDataset will refer to.
+  std::vector<const Taxonomy*> taxonomy_ptrs;
+  for (const Taxonomy& t : engine->taxonomies_) taxonomy_ptrs.push_back(&t);
+  ASSIGN_OR_RETURN(ValidatedDataset dataset,
+                   ValidateDataset(engine->microdata_, taxonomy_ptrs));
+  engine->dataset_.emplace(std::move(dataset));
   PGPUB_LOG_INFO("engine.create")
       .Field("rows", engine->microdata_.num_rows())
       .Field("qi", engine->taxonomies_.size())
@@ -130,13 +125,6 @@ uint64_t PublicationEngine::NowNanos() const {
 Result<PublishedTable> PublicationEngine::Publish(
     const PublishRequest& request, PublishReport* report) {
   obs::MetricsRegistry::Global().GetCounter("engine.requests")->Add();
-  if (Status st = ValidateRequest(microdata_, request.options); !st.ok()) {
-    if (report != nullptr) {
-      *report = PublishReport{};
-      report->final_status = st;
-    }
-    return st;
-  }
   current_deadline_nanos_ = request.deadline_nanos;
   obs::ScopedSpan span("engine.publish");
   if (!options_.tenant_label.empty()) {
@@ -145,7 +133,7 @@ Result<PublishedTable> PublicationEngine::Publish(
   const CacheStats before = recoding_cache_.stats();
   Result<PublishedTable> result =
       RobustPublisher(request.options, options_.robust)
-          .Publish(microdata_, taxonomy_ptrs_, report, hooks_.get());
+          .Publish(*dataset_, report, hooks_.get());
   current_deadline_nanos_ = 0;
   const CacheStats after = recoding_cache_.stats();
   span.Attr("cache_hits", after.hits - before.hits)

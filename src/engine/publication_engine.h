@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
 #include "core/robust_publisher.h"
+#include "core/validate.h"
 #include "engine/lru_cache.h"
 #include "hierarchy/recoding.h"
 #include "hierarchy/taxonomy.h"
@@ -50,9 +52,8 @@ struct EngineOptions {
   [[nodiscard]] Status Validate() const;
 };
 
-/// One publication request against the engine's dataset. The engine
-/// screens it with ValidateRequest (core/validate.h), then serves it with
-/// the engine-owned pool and recoding cache.
+/// One publication request against the engine's dataset, served through
+/// RobustPublisher with the engine-owned pool and recoding cache.
 struct PublishRequest {
   PgOptions options;
 
@@ -74,13 +75,12 @@ struct PublishRequest {
 /// request that differs only in seed or retention. Retention p is solved
 /// per request: its closed-form bisection costs microseconds.
 ///
-/// Create screens the dataset once with ValidateDataset (core/validate.h);
-/// each request then runs only the O(1) ValidateRequest and skips the
-/// O(rows) per-call validation. Determinism contract: a cache hit is
-/// byte-identical to the computation it replaces, so whether a request is
-/// served warm or cold never changes the published bytes — only
-/// `PublishReport::cache` and timings differ. The cache-equivalence suite
-/// in tests/engine_test.cc pins this.
+/// Create screens the dataset once with ValidateDataset (core/validate.h)
+/// and keeps the result; requests check only their options. Determinism
+/// contract: a cache hit is byte-identical to the computation it
+/// replaces, so whether a request is served warm or cold never changes
+/// the published bytes — only `PublishReport::cache` and timings differ.
+/// The cache-equivalence suite in tests/engine_test.cc pins this.
 ///
 /// Publish may be called from one thread at a time (requests
 /// internally fan out across the engine's pool; nested data parallelism is
@@ -105,7 +105,7 @@ class PublicationEngine {
 
   const Table& microdata() const { return microdata_; }
   std::vector<const Taxonomy*> TaxonomyPointers() const {
-    return taxonomy_ptrs_;
+    return dataset_->taxonomies;
   }
   int num_threads() const { return lease_.num_threads(); }
 
@@ -126,7 +126,8 @@ class PublicationEngine {
 
   Table microdata_;
   std::vector<Taxonomy> taxonomies_;
-  std::vector<const Taxonomy*> taxonomy_ptrs_;
+  /// Made by Create over the two members above, before it returns.
+  std::optional<ValidatedDataset> dataset_;
   EngineOptions options_;
   PoolLease lease_;
   /// Deadline of the request currently inside Publish (0 = none). Plain

@@ -31,7 +31,9 @@ class Table {
   Table() = default;
 
   /// Validates shape (one column per attribute, equal lengths, codes within
-  /// domains) and constructs.
+  /// domains) and constructs. So every Table keeps each code in [0,
+  /// |domain|) of its attribute: TableBuilder::Build goes through Create,
+  /// SelectRows copies checked codes, and nothing mutates a Table after.
   [[nodiscard]] static Result<Table> Create(Schema schema,
                               std::vector<AttributeDomain> domains,
                               std::vector<std::vector<int32_t>> columns);
@@ -55,7 +57,6 @@ class Table {
   const std::vector<int32_t>& column(int attr) const {
     return columns_[attr];
   }
-  std::vector<int32_t>& mutable_column(int attr) { return columns_[attr]; }
 
   /// Renders a cell for display/export.
   std::string ValueToString(size_t row, int attr) const {

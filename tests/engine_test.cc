@@ -333,8 +333,9 @@ TEST(CachePoisoningTest, CollidedRecodingFailsClosed) {
   options.k = 50;
   options.p = 0.3;
   PoisonedRecodingHooks hooks(std::move(poison));
-  const auto result = PgPublisher(options).Publish(
-      census.table, census.TaxonomyPointers(), &hooks);
+  const ValidatedDataset dataset =
+      ValidateDataset(census.table, census.TaxonomyPointers()).ValueOrDie();
+  const auto result = PgPublisher(options).Publish(dataset, &hooks);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInternal()) << result.status().ToString();
 }

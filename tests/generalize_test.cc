@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "core/publish_hooks.h"
 #include "core/robust_publisher.h"
+#include "core/validate.h"
 #include "diversity/ldiversity.h"
 #include "generalize/incognito.h"
 #include "generalize/metrics.h"
@@ -445,8 +446,9 @@ TEST(IncognitoTest, WideDomainPublishIsInvalidArgumentNotAnAbort) {
   CachedRecodingHooks hooks(
       IncognitoSearch(wide.table, wide.qi, wide.TaxonomyPointers(), search)
           .ValueOrDie());
-  expect_overflow_rejected(
-      PgPublisher(options).Publish(table, wide.TaxonomyPointers(), &hooks));
+  const ValidatedDataset dataset =
+      ValidateDataset(table, wide.TaxonomyPointers()).ValueOrDie();
+  expect_overflow_rejected(PgPublisher(options).Publish(dataset, &hooks));
 }
 
 TEST(IncognitoTest, MoreThan64QiAttributesIsInvalidArgument) {

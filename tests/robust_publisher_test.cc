@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/validate.h"
 #include "core/verify.h"
 #include "datagen/census.h"
+#include "engine/publication_engine.h"
 #include "hierarchy/taxonomy.h"
 
 namespace pgpub {
@@ -127,6 +129,23 @@ TEST(ValidateTaxonomyTest, RejectsDomainMismatch) {
   Status st = ValidateTaxonomy(taxonomy, 20);
   EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
 }
+
+// ---------------------------------------------------- ValidatedDataset
+
+// Only ValidateDataset makes a ValidatedDataset, and never over a
+// temporary table (the result would dangle).
+static_assert(!std::is_default_constructible_v<ValidatedDataset>);
+
+template <typename TableArg, typename = void>
+struct CanValidate : std::false_type {};
+template <typename TableArg>
+struct CanValidate<TableArg,
+                   std::void_t<decltype(ValidateDataset(
+                       std::declval<TableArg>(),
+                       std::declval<const std::vector<const Taxonomy*>&>()))>>
+    : std::true_type {};
+static_assert(CanValidate<const Table&>::value);
+static_assert(!CanValidate<Table&&>::value);
 
 // -------------------------------------------------- ValidatePublishInputs
 
@@ -254,6 +273,55 @@ TEST(RobustPublisherTest, UnlimitedBudgetStillRetriesToSuccess) {
   FailpointRegistry::Global().DisableAll();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(report.attempts.size(), 3u);  // 2 faulted + 1 clean
+}
+
+TEST(RobustPublisherTest, OneShotPublishScreensTheDatasetOnce) {
+  // every(2) fires on the second screen: a one-shot publish must reach the
+  // release on the first.
+  FailpointRegistry::Global().DisableAll();
+  CensusDataset census = GenerateCensus(300, 5).ValueOrDie();
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .Enable(failpoints::kPublishValidate, "every(2)")
+                  .ok());
+  RobustPublishOptions policy;
+  policy.max_attempts = 1;
+  policy.allow_generalizer_fallback = false;
+  PublishReport report;
+  Result<PublishedTable> result =
+      RobustPublisher(SolvedOptions(), policy)
+          .Publish(census.table, census.TaxonomyPointers(), &report);
+  FailpointRegistry::Global().DisableAll();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(report.attempts.size(), 1u);
+}
+
+TEST(RobustPublisherTest, EngineRequestsNeverRescreenTheDataset) {
+  // Create screens the dataset (and so evaluates the failpoint) once;
+  // requests only check their options.
+  FailpointRegistry::Global().DisableAll();
+  CensusDataset census = GenerateCensus(300, 5).ValueOrDie();
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .Enable(failpoints::kPublishValidate, "times(1)")
+                  .ok());
+  EXPECT_TRUE(
+      engine::PublicationEngine::Create(census.table, census.taxonomies)
+          .status()
+          .IsInternal());
+  auto engine = engine::PublicationEngine::Create(census.table,
+                                                  census.taxonomies)
+                    .ValueOrDie();
+  FailpointRegistry::Global().DisableAll();
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .Enable(failpoints::kPublishValidate, "always")
+                  .ok());
+  engine::PublishRequest request;
+  request.options = SolvedOptions();
+  Result<PublishedTable> result = engine->Publish(request);
+  const uint64_t screens =
+      FailpointRegistry::Global().TriggerCount(failpoints::kPublishValidate);
+  FailpointRegistry::Global().DisableAll();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(screens, 0u);
 }
 
 TEST(RobustPublisherTest, ReportCapturesPermanentFailure) {

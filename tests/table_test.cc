@@ -112,10 +112,12 @@ TEST(TableTest, CreateValidatesShape) {
   // Ragged columns.
   EXPECT_FALSE(
       Table::Create(s, domains, {{0, 1}, {0}}).status().ok());
-  // Code out of domain.
-  EXPECT_TRUE(Table::Create(s, domains, {{0, 12}, {0, 1}})
-                  .status()
-                  .IsOutOfRange());
+  // Code out of domain: QI, sensitive past the end, negative sensitive.
+  for (const std::vector<std::vector<int32_t>>& columns :
+       std::vector<std::vector<std::vector<int32_t>>>{
+           {{0, 12}, {0, 1}}, {{0, 1}, {0, 2}}, {{0, 1}, {-1, 0}}}) {
+    EXPECT_TRUE(Table::Create(s, domains, columns).status().IsOutOfRange());
+  }
   // Valid.
   EXPECT_TRUE(Table::Create(s, domains, {{0, 1}, {1, 0}}).ok());
 }
