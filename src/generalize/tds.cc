@@ -9,6 +9,7 @@
 #include "common/math_util.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace pgpub {
 
@@ -80,7 +81,10 @@ const std::vector<int32_t>& TopDownSpecializer::GroupsOfSegment(int attr_idx,
   return list;
 }
 
-void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
+TopDownSpecializer::EvalStats TopDownSpecializer::Evaluate(int attr_idx,
+                                                           int32_t lo,
+                                                           Candidate* cand) {
+  EvalStats stats;
   cand->dirty = false;
   cand->valid = false;
   cand->taxonomy_node = -1;
@@ -89,14 +93,13 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
   const int32_t gen = rec.GenOf(lo);
   const Interval s = rec.GenInterval(gen);
   PGPUB_CHECK_EQ(s.lo, lo);
-  if (s.IsSingleton()) return;  // nothing to specialize
+  if (s.IsSingleton()) return stats;  // nothing to specialize
 
   const std::vector<int32_t>& gids = GroupsOfSegment(attr_idx, lo);
-  if (gids.empty()) return;  // segment carries no rows; splitting is moot
+  if (gids.empty()) return stats;  // segment carries no rows; splitting is moot
 
   const int attr = qi_attrs_[attr_idx];
   const Taxonomy* tax = taxonomies_[attr_idx];
-  const int64_t global_min = global_min_cache_;
   const int32_t cons_attr = options_.constraint_attr;
   const int32_t cons_dom =
       options_.constraint != nullptr ? table_.domain(cons_attr).size() : 0;
@@ -118,13 +121,6 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
     }
   }
 
-  double gain = 0.0;
-  double bias = 0.0;
-  double ss_reduction = 0.0;
-  double affected_ss = 0.0;
-  int64_t affected_rows = 0;
-  int64_t min_new = std::numeric_limits<int64_t>::max();
-  bool valid = true;
   std::vector<double> parent_class(num_classes_);
   std::vector<std::vector<double>> child_class(
       n_children, std::vector<double>(num_classes_));
@@ -134,8 +130,8 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
     child_cons.assign(n_children, std::vector<int64_t>(cons_dom));
   }
 
-  for (int32_t gid : gids) {
-    const Group& g = groups_[gid];
+  // Scores one group from its rows: its Contribution to this candidate.
+  auto score_rows = [&](const Group& g) {
     std::fill(parent_class.begin(), parent_class.end(), 0.0);
     std::fill(child_count.begin(), child_count.end(), 0);
     for (auto& v : child_class) std::fill(v.begin(), v.end(), 0.0);
@@ -152,40 +148,62 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
       }
     }
 
+    Contribution c;
+    c.scored = true;
+    c.min_child = std::numeric_limits<int64_t>::max();
     double child_entropy_rows = 0.0;
-    double child_sq = 0.0;
-    int nonempty_children = 0;
     for (size_t ci = 0; ci < n_children; ++ci) {
       if (child_count[ci] == 0) continue;
-      ++nonempty_children;
-      if (child_count[ci] < options_.k) {
-        valid = false;
-        break;
-      }
+      ++c.nonempty_children;
+      if (child_count[ci] < options_.k) return c;
       if (options_.constraint != nullptr &&
           !options_.constraint->Satisfied(child_cons[ci])) {
-        valid = false;
-        break;
+        return c;
       }
-      min_new = std::min<int64_t>(min_new, child_count[ci]);
-      child_sq += static_cast<double>(child_count[ci]) *
-                  static_cast<double>(child_count[ci]);
+      c.min_child = std::min<int64_t>(c.min_child, child_count[ci]);
+      c.child_sq += static_cast<double>(child_count[ci]) *
+                    static_cast<double>(child_count[ci]);
       child_entropy_rows += static_cast<double>(child_count[ci]) *
                             EntropyFromCounts(child_class[ci]);
     }
-    if (!valid) break;
+    c.valid = true;
+    c.gain = static_cast<double>(g.size()) * EntropyFromCounts(parent_class) -
+             child_entropy_rows;
+    return c;
+  };
+
+  // Fold the groups' contributions in segment order — the same doubles
+  // summed in the same order as a full row scan, so scores are
+  // bit-identical whether a term was just computed or read from cache.
+  double gain = 0.0;
+  double bias = 0.0;
+  double ss_reduction = 0.0;
+  double affected_ss = 0.0;
+  int64_t affected_rows = 0;
+  int64_t min_new = std::numeric_limits<int64_t>::max();
+  for (int32_t gid : gids) {
+    Group& g = groups_[gid];
+    Contribution& c = g.contrib[attr_idx];
+    if (c.scored) {
+      ++stats.groups_reused;
+    } else {
+      c = score_rows(g);
+      ++stats.groups_scored;
+      stats.rows_scanned += g.rows.size();
+    }
+    if (!c.valid) return stats;
+    min_new = std::min(min_new, c.min_child);
     const double n_g = static_cast<double>(g.size());
     affected_rows += g.size();
     affected_ss += n_g * n_g;
-    ss_reduction += n_g * n_g - child_sq;
-    gain += n_g * EntropyFromCounts(parent_class) - child_entropy_rows;
+    ss_reduction += n_g * n_g - c.child_sq;
+    gain += c.gain;
     // Chi-square bias of the empirical entropy gain: under the no-signal
     // null, 2 ln(2) n ΔH ~ chi^2 with (C-1)(m-1) dof, so the expected
     // spurious gain is (C-1)(m-1)/(2 ln 2) rows·bits per group.
-    bias += (nonempty_children - 1) * (num_classes_ - 1) /
+    bias += (c.nonempty_children - 1) * (num_classes_ - 1) /
             (2.0 * std::log(2.0));
   }
-  if (!valid) return;
 
   cand->valid = true;
   cand->taxonomy_node = node_id;
@@ -197,9 +215,10 @@ void TopDownSpecializer::Evaluate(int attr_idx, int32_t lo, Candidate* cand) {
             : 0.0;
     cand->score = CombinedScore(gain_per_row, ss_reduction, affected_ss);
   } else {
-    const int64_t loss = std::max<int64_t>(0, global_min - min_new);
+    const int64_t loss = std::max<int64_t>(0, global_min_cache_ - min_new);
     cand->score = gain / static_cast<double>(loss + 1);
   }
+  return stats;
 }
 
 void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
@@ -234,9 +253,12 @@ void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
   for (int32_t gid : affected) {
     // Detach the old group's state before growing groups_ — push_back may
     // reallocate the vector and would invalidate any held reference.
+    // A dead group keeps nothing: GroupsOfSegment tests `alive` before it
+    // reads seg_lo, and no Evaluate reads a dead group's contributions.
     groups_[gid].alive = false;
     const std::vector<uint32_t> old_rows = std::move(groups_[gid].rows);
-    const std::vector<int32_t> old_seg = groups_[gid].seg_lo;
+    const std::vector<int32_t> old_seg = std::move(groups_[gid].seg_lo);
+    groups_[gid].contrib = std::vector<Contribution>();
 
     // Bucket rows by child.
     std::vector<std::vector<uint32_t>> buckets(children.size());
@@ -249,6 +271,7 @@ void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
       ng.rows = std::move(buckets[ci]);
       ng.seg_lo = old_seg;
       ng.seg_lo[attr_idx] = children[ci].lo;
+      ng.contrib.resize(qi_attrs_.size());
       const int32_t new_gid = static_cast<int32_t>(groups_.size());
       groups_.push_back(std::move(ng));
       for (size_t j = 0; j < qi_attrs_.size(); ++j) {
@@ -315,6 +338,7 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
   root.rows.resize(n);
   for (size_t r = 0; r < n; ++r) root.rows[r] = static_cast<uint32_t>(r);
   root.seg_lo.assign(qi_attrs_.size(), 0);
+  root.contrib.resize(qi_attrs_.size());
   groups_.push_back(std::move(root));
   for (size_t j = 0; j < qi_attrs_.size(); ++j) {
     segment_groups_[j][0].push_back(0);
@@ -338,27 +362,45 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
     candidates_[CandidateKey(static_cast<int>(j), 0)] = Candidate{};
   }
 
+  uint64_t rows_scanned = 0;
   while (num_specializations_ < options_.max_specializations) {
-    global_min_cache_ = GlobalMinGroupSize();
+    obs::ScopedSpan round_span("tds.round");
+    // Only the classic score reads the global minimum group size.
+    if (!options_.balance_aware) global_min_cache_ = GlobalMinGroupSize();
     // Re-evaluate dirty candidates, fanning the scoring out over the pool
-    // when one is given. Each Evaluate touches only its own Candidate and
-    // its own segment_groups_ bucket (distinct (attr, lo) per candidate);
-    // the shared structures it reads — groups_, recodings_, table_,
-    // class_labels_, global_min_cache_ — are frozen during the pass.
+    // when one is given. Each Evaluate touches only its own Candidate, its
+    // own segment_groups_ bucket and its own attribute's Contribution slot
+    // of the groups in that bucket (distinct (attr, lo) per candidate, and
+    // a group lies in one segment per attribute); everything else it
+    // reads — group rows and segments, recodings_, table_, class_labels_,
+    // global_min_cache_ — is frozen during the pass.
     std::vector<std::pair<uint64_t, Candidate*>> dirty;
     for (auto& [key, cand] : candidates_) {
       if (cand.dirty) dirty.emplace_back(key, &cand);
     }
+    std::vector<EvalStats> stats(dirty.size());
     RETURN_IF_ERROR(ParallelFor(
         options_.pool, IndexRange(0, dirty.size()), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
           for (size_t i = begin; i < end; ++i) {
-            Evaluate(static_cast<int>(dirty[i].first >> 32),
-                     static_cast<int32_t>(dirty[i].first & 0xffffffffu),
-                     dirty[i].second);
+            stats[i] = Evaluate(
+                static_cast<int>(dirty[i].first >> 32),
+                static_cast<int32_t>(dirty[i].first & 0xffffffffu),
+                dirty[i].second);
           }
           return Status::OK();
         }));
+    EvalStats totals;
+    for (const EvalStats& st : stats) {
+      totals.groups_scored += st.groups_scored;
+      totals.groups_reused += st.groups_reused;
+      totals.rows_scanned += st.rows_scanned;
+    }
+    rows_scanned += totals.rows_scanned;
+    round_span.Attr("dirty", static_cast<uint64_t>(dirty.size()))
+        .Attr("groups_scored", totals.groups_scored)
+        .Attr("groups_reused", totals.groups_reused)
+        .Attr("rows_scanned", totals.rows_scanned);
     // Pick the best valid candidate (serial — the tie-break is the
     // determinism anchor).
     uint64_t best_key = 0;
@@ -386,6 +428,9 @@ Result<GlobalRecoding> TopDownSpecializer::Run() {
   obs::MetricsRegistry::Global()
       .GetCounter("tds.specializations")
       ->Add(static_cast<uint64_t>(num_specializations_));
+  obs::MetricsRegistry::Global()
+      .GetCounter("tds.rows_scanned")
+      ->Add(rows_scanned);
   PGPUB_LOG_DEBUG("tds.done")
       .Field("specializations", num_specializations_)
       .Field("groups", groups_.size());

@@ -47,8 +47,8 @@ struct TdsOptions {
   /// bit-identical at every thread count.
   ThreadPool* pool = nullptr;
 
-  /// Ignored: TDS scans the table row-wise and needs no QI index
-  /// (DESIGN.md §15). Kept only because perfbench still assigns it;
+  /// Ignored: TDS scores each QI group from its rows once and needs no QI
+  /// index (DESIGN.md §15). Kept only because perfbench still assigns it;
   /// slated for removal with the next benchmark change (ROADMAP).
   const columnar::QiIndex* qi_index = nullptr;
 };
@@ -86,12 +86,39 @@ class TopDownSpecializer {
   int num_specializations() const { return num_specializations_; }
 
  private:
+  /// One group's share of the score of the candidate that splits the
+  /// group's segment on one QI attribute. A group's rows and its segment
+  /// on every attribute are fixed until Apply kills it, so the share is
+  /// computed from the rows once, the first time Evaluate meets the group,
+  /// and folded from here on every later Evaluate.
+  struct Contribution {
+    bool scored = false;
+    bool valid = false;  ///< Every non-empty child passes k and constraint.
+    int nonempty_children = 0;
+    int64_t min_child = 0;  ///< Smallest non-empty child.
+    double gain = 0.0;      ///< n_g·H(parent) − Σ n_c·H(c), in rows·bits.
+    double child_sq = 0.0;  ///< Σ n_c².
+  };
+
   struct Group {
     std::vector<uint32_t> rows;
     std::vector<int32_t> seg_lo;  ///< Per QI attr: start code of its segment.
+    /// Per QI attr: this group's Contribution to that attribute's
+    /// candidate. Written only by the Evaluate of the candidate owning
+    /// (attr, seg_lo[attr]), so the parallel scoring needs no lock.
+    /// Apply releases rows, seg_lo and contrib when the group dies.
+    std::vector<Contribution> contrib;
     bool alive = true;
 
     int64_t size() const { return static_cast<int64_t>(rows.size()); }
+  };
+
+  /// What one Evaluate did: groups whose Contribution it computed from
+  /// their rows, groups it folded from the cache, and the rows it read.
+  struct EvalStats {
+    uint64_t groups_scored = 0;
+    uint64_t groups_reused = 0;
+    uint64_t rows_scanned = 0;
   };
 
   struct Candidate {
@@ -110,8 +137,11 @@ class TopDownSpecializer {
   /// Returns a reference into segment_groups_ valid until the next Apply.
   const std::vector<int32_t>& GroupsOfSegment(int attr_idx, int32_t lo);
 
-  /// (Re)computes a candidate's validity/score.
-  void Evaluate(int attr_idx, int32_t lo, Candidate* cand);
+  /// (Re)computes a candidate's validity/score by folding, in segment
+  /// order, the Contribution of every alive group carrying segment `lo` of
+  /// QI attribute `attr_idx`; a group not yet scored on that attribute is
+  /// scored from its rows first.
+  EvalStats Evaluate(int attr_idx, int32_t lo, Candidate* cand);
 
   /// Applies a winning candidate; updates recoding, groups, and dirt.
   void Apply(int attr_idx, int32_t lo, const Candidate& cand);
@@ -133,6 +163,7 @@ class TopDownSpecializer {
   std::vector<std::unordered_map<int32_t, std::vector<int32_t>>>
       segment_groups_;
   std::unordered_map<uint64_t, Candidate> candidates_;
+  /// Smallest alive group; read only by the classic (!balance_aware) score.
   int64_t global_min_cache_ = 0;
   int num_specializations_ = 0;
 };

@@ -7,15 +7,19 @@
 #include <utility>
 #include <vector>
 
+#include "bench/sal_digest.h"
+#include "common/parallel/thread_pool.h"
 #include "common/random.h"
 #include "core/publish_hooks.h"
 #include "core/robust_publisher.h"
 #include "core/validate.h"
+#include "datagen/census.h"
 #include "diversity/ldiversity.h"
 #include "generalize/incognito.h"
 #include "generalize/metrics.h"
 #include "generalize/qi_groups.h"
 #include "generalize/tds.h"
+#include "mining/category.h"
 
 namespace pgpub {
 namespace {
@@ -262,6 +266,56 @@ TEST(TdsTest, TaxonomyDomainMismatchRejected) {
   TopDownSpecializer too_few(f.table, f.qi, {&f.tax_a},
                              f.table.column(f.sens), 5, opt);
   EXPECT_TRUE(too_few.Run().status().IsInvalidArgument());
+}
+
+TEST(TdsTest, RecodingPinnedAcrossScoringModes) {
+  // The SAL pins cover only the default score. This pins the recoding
+  // (and the specialization count) of the classic InfoGain/(AnonyLoss+1)
+  // score, of a constrained (ℓ-diversity) search and of the default, each
+  // serial and on 8 threads, so a change to candidate scoring must leave
+  // all three searches bit-identical.
+  const CensusDataset census = GenerateCensus(6000, 2008).ValueOrDie();
+  const std::vector<int> qi = census.table.schema().QiIndices();
+  const std::vector<int32_t> labels = CategoryMap::PaperIncome(3).Map(
+      census.table.column(CensusColumns::kIncome));
+  const DistinctLDiversity diversity(6);
+
+  struct Mode {
+    const char* name;
+    bool balance_aware;
+    const GroupConstraint* constraint;
+    const char* digest;
+    int specializations;
+  };
+  const Mode modes[] = {
+      {"classic", false, nullptr, "0x67a89f176ed7726b", 24},
+      {"l-diversity", true, &diversity, "0xab4f522d739855c4", 40},
+      {"default", true, nullptr, "0x7c32894a0961aea4", 43},
+  };
+  for (const Mode& mode : modes) {
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(mode.name) + " t" + std::to_string(threads));
+      std::optional<ThreadPool> pool;
+      if (threads > 1) pool.emplace(threads);
+      TdsOptions options;
+      options.k = 8;
+      options.balance_aware = mode.balance_aware;
+      options.constraint = mode.constraint;
+      options.constraint_attr =
+          mode.constraint != nullptr ? CensusColumns::kIncome : -1;
+      options.pool = pool.has_value() ? &*pool : nullptr;
+      TopDownSpecializer tds(census.table, qi, census.TaxonomyPointers(),
+                             labels, 3, options);
+      const GlobalRecoding rec = tds.Run().ValueOrDie();
+      bench::Fnv fnv;
+      for (size_t i = 0; i < rec.per_attr.size(); ++i) {
+        fnv.Mix(rec.qi_attrs[i]);
+        for (int32_t start : rec.per_attr[i].starts()) fnv.Mix(start);
+      }
+      EXPECT_EQ(bench::Hex(fnv.h), mode.digest);
+      EXPECT_EQ(tds.num_specializations(), mode.specializations);
+    }
+  }
 }
 
 // -------------------------------------------------------------- Incognito

@@ -254,12 +254,32 @@ std::multiset<std::pair<std::string, std::string>> SpanSet(
   return set;
 }
 
+/// The attributes of every span named `name`, in completion order, as
+/// unsigned integers.
+std::vector<std::map<std::string, uint64_t>> SpanAttrs(
+    const std::vector<SpanRecord>& spans, const std::string& name) {
+  std::vector<std::map<std::string, uint64_t>> out;
+  for (const SpanRecord& span : spans) {
+    if (span.name != name) continue;
+    std::map<std::string, uint64_t>& attrs = out.emplace_back();
+    for (const auto& [key, value] : span.attributes) {
+      attrs[key] = value.AsUint64().ValueOrDie();
+    }
+  }
+  return out;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
+}
+
 TEST_F(GlobalTracerTest, PublishSpanSetIsThreadCountInvariant) {
   HospitalDataset hospital = MakeHospitalDataset().ValueOrDie();
   for (PgOptions::Generalizer generalizer :
        {PgOptions::Generalizer::kTds, PgOptions::Generalizer::kIncognito}) {
     const bool incognito = generalizer == PgOptions::Generalizer::kIncognito;
     SCOPED_TRACE(incognito ? "incognito" : "tds");
+    uint64_t rows_scanned = 0;  // tds.rows_scanned added by the last run
     auto run = [&](int threads) {
       tracer().Clear();
       PgOptions options;
@@ -270,16 +290,19 @@ TEST_F(GlobalTracerTest, PublishSpanSetIsThreadCountInvariant) {
       options.generalizer = generalizer;
       RobustPublisher publisher(options);
       PublishReport report;
+      const uint64_t before = CounterValue("tds.rows_scanned");
       auto published = publisher.Publish(hospital.table,
                                          hospital.TaxonomyPointers(), &report);
       EXPECT_TRUE(published.ok()) << published.status().ToString();
+      rows_scanned = CounterValue("tds.rows_scanned") - before;
       return tracer().TakeSnapshot();
     };
 
     const std::vector<SpanRecord> serial_spans = run(1);
     const auto serial = SpanSet(serial_spans);
+    const std::vector<SpanRecord> eight_spans = run(8);
     const auto two = SpanSet(run(2));
-    const auto eight = SpanSet(run(8));
+    const auto eight = SpanSet(eight_spans);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, two);
     EXPECT_EQ(serial, eight);
@@ -292,22 +315,48 @@ TEST_F(GlobalTracerTest, PublishSpanSetIsThreadCountInvariant) {
     }
     EXPECT_GT(serial.count({"robust.attempt", "robust.publish"}), 0u);
     EXPECT_GT(serial.count({"robust.publish", "<root>"}), 0u);
-    // Incognito emits one span per lattice level under the generalize
-    // phase; TDS emits none.
+    // Each generalizer emits one span per search round under the
+    // generalize phase: Incognito per lattice level, TDS per
+    // specialization round. Their attributes count search work, so they
+    // too must not depend on the thread count.
     EXPECT_EQ(serial.count({"incognito.level", "publish.generalize"}) > 0,
               incognito);
-    for (const SpanRecord& span : serial_spans) {
-      if (std::string(span.name) != "incognito.level") continue;
-      std::map<std::string, uint64_t> attrs;
-      for (const auto& [key, value] : span.attributes) {
-        attrs[key] = value.AsUint64().ValueOrDie();
-      }
+    EXPECT_EQ(serial.count({"tds.round", "publish.generalize"}) > 0,
+              !incognito);
+    const char* round_span = incognito ? "incognito.level" : "tds.round";
+    EXPECT_EQ(SpanAttrs(serial_spans, round_span),
+              SpanAttrs(eight_spans, round_span));
+    for (const auto& attrs : SpanAttrs(serial_spans, "incognito.level")) {
       for (const char* key :
            {"level", "candidates", "checked", "implied", "minimal"}) {
         EXPECT_EQ(attrs.count(key), 1u) << key;
       }
-      EXPECT_EQ(attrs["checked"] + attrs["implied"], attrs["candidates"]);
+      EXPECT_EQ(attrs.at("checked") + attrs.at("implied"),
+                attrs.at("candidates"));
     }
+    // TDS scores a (group, attribute) pair from its rows once, the first
+    // round a dirty candidate visits it, and folds the cached term in
+    // every later round: the first round can reuse nothing, a round that
+    // scores no group reads no rows, and the rounds' row counts add up to
+    // the tds.rows_scanned counter.
+    const auto rounds = SpanAttrs(serial_spans, "tds.round");
+    uint64_t round_rows = 0;
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      const auto& attrs = rounds[i];
+      for (const char* key :
+           {"dirty", "groups_scored", "groups_reused", "rows_scanned"}) {
+        ASSERT_EQ(attrs.count(key), 1u) << key;
+      }
+      if (i == 0) {
+        EXPECT_EQ(attrs.at("groups_reused"), 0u);
+      }
+      EXPECT_GE(attrs.at("rows_scanned"), attrs.at("groups_scored"));
+      if (attrs.at("groups_scored") == 0) {
+        EXPECT_EQ(attrs.at("rows_scanned"), 0u);
+      }
+      round_rows += attrs.at("rows_scanned");
+    }
+    EXPECT_EQ(round_rows, incognito ? 0u : rows_scanned);
   }
 }
 

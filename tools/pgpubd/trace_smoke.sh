@@ -74,6 +74,7 @@ trap 'rm -f "$PORT_FILE"' EXIT
   --require-span=engine.publish \
   --require-span=robust.publish \
   --require-span=publish.generalize \
+  --require-span=tds.round \
   --require-attr='server.dispatch:tenant=census' \
   --require-attr='server.dispatch:tenant=clinic' \
   --require-attr='engine.publish:tenant=census' \
