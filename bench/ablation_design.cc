@@ -9,7 +9,7 @@
 ///      the chi-square split gate and ESS-based evidence floors, each
 ///      toggled off: effect on the classification error of the PG tree.
 ///
-/// Environment: SAL_N (default 400000), SAL_RUNS.
+/// Environment: SAL_N (rows, default 400000).
 
 #include <algorithm>
 #include <cstdio>
@@ -71,7 +71,6 @@ int main() {
   const size_t n = SalRows();
   BenchReport report("ablation_design");
   report.SetParam("sal_n", n);
-  report.SetParam("sal_runs", SalRuns());
   report.SetParam("k", 6);
   std::printf("generating %zu census rows...\n", n);
   CensusDataset census = GenerateCensus(n, 20080407).ValueOrDie();

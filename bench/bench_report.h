@@ -25,8 +25,8 @@ namespace bench {
 ///
 ///   {
 ///     "schema_version": 1,
-///     "name": "table3_guarantees",
-///     "params": {"hardware_threads": 4, "sal_n": 400000, ...},
+///     "name": "sal_full",
+///     "params": {"hardware_threads": 4, "rows": 700000, ...},
 ///     "wall_ns": 123456789,
 ///     "iterations": 12,
 ///     "results": [{...}, ...],

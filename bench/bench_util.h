@@ -9,15 +9,14 @@
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
 #include "mining/evaluate.h"
+#include "perturb/randomized_response.h"
 #include "sample/stratified.h"
 
 namespace pgpub {
 namespace bench {
 
-/// Dataset size for the utility experiments. The paper uses the 700k-row
-/// SAL table; 400k keeps the published sample's effective size large
-/// enough for stable reconstruction while a full sweep stays around a
-/// minute. Override with SAL_N=700000 to run at paper scale.
+/// Dataset size for the census-based ablations (ablation_design,
+/// breach_empirical). Override with SAL_N.
 inline size_t SalRows() {
   const char* env = std::getenv("SAL_N");
   if (env != nullptr) {
@@ -27,26 +26,15 @@ inline size_t SalRows() {
   return 400000;
 }
 
-/// Seeds averaged per configuration (reduces sampling jitter in the
-/// plotted series). Override with SAL_RUNS.
-inline int SalRuns() {
-  const char* env = std::getenv("SAL_RUNS");
-  if (env != nullptr) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 5;
-}
-
 struct UtilityPoint {
   double pg_error = 0.0;
   double optimistic_error = 0.0;
   double pessimistic_error = 0.0;
 };
 
-/// Runs the Section VII utility experiment once: PG at (p, k) mined with
-/// the reconstruction tree, plus the two yardsticks on a |D|/k uniform
-/// subset.
+/// Runs the Section VII utility experiment (Figures 2–3) once: PG at
+/// (p, k) mined with the reconstruction tree, plus the two yardsticks on a
+/// |D|/k uniform subset.
 inline UtilityPoint RunUtilityPoint(const CensusDataset& census, double p,
                                     int k, int m, uint64_t seed) {
   const Table& microdata = census.table;
@@ -99,7 +87,7 @@ inline UtilityPoint RunUtilityPoint(const CensusDataset& census, double p,
 
   UniformPerturbation destroy(0.0, microdata.domain(sens).size());
   std::vector<int32_t> randomized =
-      destroy.PerturbColumn(sub.column(sens), rng);
+      destroy.PerturbColumnStreams(sub.column(sens), seed).ValueOrDie();
   DecisionTree pessimistic =
       DecisionTree::Train(
           TreeDataset::FromRaw(sub, qi, cats.Map(randomized),
@@ -111,12 +99,14 @@ inline UtilityPoint RunUtilityPoint(const CensusDataset& census, double p,
   return point;
 }
 
-/// Runs RunUtilityPoint over SalRuns() seeds and reports the per-series
+/// Runs RunUtilityPoint over `runs` seeds and reports the per-series
 /// median — robust to the occasional reconstruction-noise outlier, which
 /// is also how one would plot a representative single run.
-inline UtilityPoint AveragedUtilityPoint(const CensusDataset& census,
-                                         double p, int k, int m) {
-  const int runs = SalRuns();
+[[nodiscard]] inline Result<UtilityPoint> AveragedUtilityPoint(
+    const CensusDataset& census, double p, int k, int m, int runs) {
+  if (runs < 1) {
+    return Status::InvalidArgument("AveragedUtilityPoint needs runs >= 1");
+  }
   std::vector<double> pg, opt, pes;
   for (int r = 0; r < runs; ++r) {
     UtilityPoint point =

@@ -7,8 +7,8 @@
 /// generalization collapses to certain disclosure; PG's worst observed
 /// growth stays under the Theorem-3 bound at every corruption level.
 ///
-/// Environment: SAL_N (default 120000 is more than needed here; this
-/// harness caps at 40000 rows for attack-simulation speed), SAL_RUNS.
+/// Environment: SAL_N (rows; the harness caps it at 40000 for
+/// attack-simulation speed, so the 400000 default is more than needed).
 
 #include <algorithm>
 #include <cstdio>

@@ -14,9 +14,9 @@
 #include "datagen/census.h"
 #include "generalize/tds.h"
 #include "mining/category.h"
+#include "mining/decision_tree.h"
 #include "common/parallel/thread_pool.h"
 #include "perturb/randomized_response.h"
-#include "mining/naive_bayes.h"
 #include "sample/stratified.h"
 
 namespace pgpub {
@@ -31,21 +31,6 @@ const CensusDataset& SharedCensus(size_t n) {
   }
   return it->second;
 }
-
-void BM_Perturbation(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const CensusDataset& census = SharedCensus(n);
-  UniformPerturbation channel(0.3, 50);
-  Rng rng(2);
-  for (auto _ : state) {
-    auto out =
-        channel.PerturbColumn(census.table.column(CensusColumns::kIncome),
-                              rng);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_Perturbation)->Arg(10000)->Arg(100000);
 
 /// Stream-keyed perturbation (the pipeline's production path since the
 /// parallel engine landed): arg0 = rows, arg1 = threads (1 = serial
@@ -235,25 +220,6 @@ void BM_ReconstructionTreeTraining(benchmark::State& state) {
                           dataset.num_rows());
 }
 BENCHMARK(BM_ReconstructionTreeTraining);
-
-void BM_NaiveBayesTraining(benchmark::State& state) {
-  const size_t n = 100000;
-  const CensusDataset& census = SharedCensus(n);
-  CategoryMap cats = CategoryMap::PaperIncome(2);
-  std::vector<int32_t> labels =
-      cats.Map(census.table.column(CensusColumns::kIncome));
-  TreeDataset dataset =
-      TreeDataset::FromRaw(census.table, census.table.schema().QiIndices(),
-                           labels, 2, census.nominal);
-  for (auto _ : state) {
-    auto model =
-        NaiveBayesClassifier::Train(dataset, NaiveBayesOptions{})
-            .ValueOrDie();
-    benchmark::DoNotOptimize(model);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_NaiveBayesTraining)->Unit(benchmark::kMillisecond);
 
 void BM_GuaranteeSolver(benchmark::State& state) {
   for (auto _ : state) {

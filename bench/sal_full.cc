@@ -1,32 +1,38 @@
 /// \file sal_full.cc
-/// The full-scale Section VII reproduction in one artifact: cold-publishes
-/// the 700k-row SAL table end-to-end (TDS Phase 2, the paper's pipeline)
-/// and emits Table III (closed-form guarantees) plus Figures 2–3 (utility
-/// vs k and vs p) as one schema-v1 bench JSON with a tracked
+/// The Section VII reproduction — the one binary for Table III and
+/// Figures 2–3: cold-publishes the 700k-row SAL table end-to-end (TDS
+/// Phase 2, the paper's pipeline) and emits Table III (closed-form
+/// guarantees) plus Figures 2–3 (utility vs k and vs p, mined from the
+/// same SAL table) as one schema-v1 bench JSON with a tracked
 /// publications/sec metric. The committed smoke baseline
 /// (bench/baselines/BENCH_sal_full.json) runs the same harness at
 /// PGPUB_SAL_ROWS=20000 so bench_diff can gate regressions in CI without
 /// paying the full run; tests/sal_golden_test.cc pins the generator and
 /// publication digests printed here.
 ///
-/// Env knobs:
-///   PGPUB_SAL_ROWS    table rows (default 700000 — the paper's scale)
-///   PGPUB_SAL_RUNS    seeds per figure point (default 1; figures average
-///                     the per-point median like fig2/fig3 do)
-///   PGPUB_SAL_THREADS worker threads (0 = environment default)
+/// Env knobs (a value outside its range, or not a whole integer, is
+/// reported and exits 2):
+///   PGPUB_SAL_ROWS    table rows, >= 1 (default 700000 — the paper's
+///                     scale)
+///   PGPUB_SAL_RUNS    seeds per figure point, >= 1 (default 1; each
+///                     point is the per-series median over the seeds)
+///   PGPUB_SAL_THREADS worker threads, >= 0 (0 = environment default)
 ///   PGPUB_SAL_FIGS    0 = skip the Figure 2–3 sweeps (cold-path timing
-///                     only; default 1)
+///                     only), 1 = run them (default)
 
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_report.h"
 #include "bench/bench_util.h"
 #include "bench/sal_digest.h"
+#include "common/string_util.h"
 #include "core/guarantees.h"
 #include "core/robust_publisher.h"
 #include "datagen/sal.h"
@@ -34,12 +40,20 @@
 namespace pgpub {
 namespace {
 
-size_t EnvSize(const char* name, size_t fallback) {
-  if (const char* env = std::getenv(name); env != nullptr && *env != '\0') {
-    const long long v = std::atoll(env);
-    if (v >= 0) return static_cast<size_t>(v);
-  }
-  return fallback;
+/// Reads the integer knob `name`: `fallback` when unset or empty, the
+/// value when it is a whole integer in [lo, hi], and otherwise nullopt
+/// after printing why ("abc", "5x" and out-of-range values are rejected,
+/// never truncated or replaced by the default).
+std::optional<int> EnvInt(const char* name, int fallback, int lo,
+                          int hi = INT_MAX) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  const Result<int64_t> v = ParseInt64(env);
+  if (v.ok() && *v >= lo && *v <= hi) return static_cast<int>(*v);
+  std::fprintf(stderr,
+               "sal_full: %s must be an integer in [%d, %d], got '%s'\n", name,
+               lo, hi, env);
+  return std::nullopt;
 }
 
 uint64_t NowNs() {
@@ -55,15 +69,15 @@ using bench::PublicationDigest;
 using bench::RowSampleDigest;
 
 int Main() {
-  const size_t rows = EnvSize("PGPUB_SAL_ROWS", 700000);
-  const int threads = static_cast<int>(EnvSize("PGPUB_SAL_THREADS", 0));
-  const bool figures = EnvSize("PGPUB_SAL_FIGS", 1) != 0;
-  const int runs = static_cast<int>(EnvSize("PGPUB_SAL_RUNS", 1));
-  // AveragedUtilityPoint reads SAL_RUNS; forward our knob unless the
-  // caller already set the legacy one.
-  if (std::getenv("SAL_RUNS") == nullptr) {
-    ::setenv("SAL_RUNS", std::to_string(runs).c_str(), 1);
-  }
+  const std::optional<int> rows_knob = EnvInt("PGPUB_SAL_ROWS", 700000, 1);
+  const std::optional<int> runs_knob = EnvInt("PGPUB_SAL_RUNS", 1, 1);
+  const std::optional<int> threads_knob = EnvInt("PGPUB_SAL_THREADS", 0, 0);
+  const std::optional<int> figures_knob = EnvInt("PGPUB_SAL_FIGS", 1, 0, 1);
+  if (!rows_knob || !runs_knob || !threads_knob || !figures_knob) return 2;
+  const size_t rows = static_cast<size_t>(*rows_knob);
+  const int runs = *runs_knob;
+  const int threads = *threads_knob;
+  const bool figures = *figures_knob != 0;
 
   bench::BenchReport report("sal_full");
   report.SetParam("rows", static_cast<uint64_t>(rows));
@@ -93,11 +107,17 @@ int Main() {
 
   // ---- Cold end-to-end publication (no caches).
   const uint64_t cold_t0 = NowNs();
-  const PublishedTable cold =
+  Result<PublishedTable> published =
       RobustPublisher(bench::SalColdPublishOptions(threads))
-          .Publish(sal.table, taxonomies)
-          .ValueOrDie();
+          .Publish(sal.table, taxonomies);
   const uint64_t cold_ns = NowNs() - cold_t0;
+  if (!published.ok()) {
+    // E.g. fewer rows than the cold publication's k = 10.
+    std::fprintf(stderr, "sal_full: cold publication failed: %s\n",
+                 published.status().ToString().c_str());
+    return 1;
+  }
+  const PublishedTable& cold = *published;
   const uint64_t cold_digest = PublicationDigest(cold);
   {
     obs::JsonValue row = obs::JsonValue::Object();
@@ -116,7 +136,8 @@ int Main() {
                Hex(cold_digest).c_str());
 
   // ---- Table III: the closed-form guarantees (lambda=0.1, rho1=0.2,
-  // |U^s|=50), same grid as bench/table3_guarantees.
+  // |U^s|=50); tests/guarantees_test.cc asserts them against the paper's
+  // printed values.
   constexpr double kLambda = 0.1;
   constexpr double kRho1 = 0.2;
   constexpr int kUs = 50;
@@ -145,12 +166,12 @@ int Main() {
   std::fprintf(stderr, "sal_full: Table III rows emitted\n");
 
   // ---- Figures 2–3: utility vs k (p = 0.3) and vs p (k = 6) on the SAL
-  // table itself, m = 2 and 3, same grids as fig2/fig3.
+  // table itself, m = 2 and 3.
   if (figures) {
     for (int m : {2, 3}) {
       for (int k : ks) {
         const bench::UtilityPoint point =
-            bench::AveragedUtilityPoint(sal, 0.3, k, m);
+            bench::AveragedUtilityPoint(sal, 0.3, k, m, runs).ValueOrDie();
         obs::JsonValue row = obs::JsonValue::Object();
         row.Set("figure", "fig2");
         row.Set("m", m);
@@ -166,7 +187,7 @@ int Main() {
       }
       for (double p : ps) {
         const bench::UtilityPoint point =
-            bench::AveragedUtilityPoint(sal, p, 6, m);
+            bench::AveragedUtilityPoint(sal, p, 6, m, runs).ValueOrDie();
         obs::JsonValue row = obs::JsonValue::Object();
         row.Set("figure", "fig3");
         row.Set("m", m);

@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
 
   UniformPerturbation destroy(0.0, microdata.domain(sens).size());
   std::vector<int32_t> randomized =
-      destroy.PerturbColumn(sub.column(sens), rng);
+      destroy.PerturbColumnStreams(sub.column(sens), /*seed=*/99)
+          .ValueOrDie();
   DecisionTree pessimistic =
       DecisionTree::Train(
           TreeDataset::FromRaw(sub, qi, categories.Map(randomized),

@@ -1,8 +1,8 @@
 /// \file pg_mine.cpp
 /// Analyst-side companion to pg_publish: load a PG release from files
 /// (codes CSV + recoding sidecar), train the perturbation-aware decision
-/// tree and naive Bayes, and — when given the labelled evaluation data —
-/// report classification error. Demonstrates that a release is fully
+/// tree and — when given the labelled evaluation data — report its
+/// classification error. Demonstrates that a release is fully
 /// minable without the publisher's in-memory state.
 ///
 /// Usage:
@@ -148,13 +148,8 @@ int main(int argc, char** argv) {
   std::printf("decision tree: %zu nodes, depth %d\n", tree->num_nodes(),
               tree->depth());
 
-  NaiveBayesOptions nb_options;
-  nb_options.reconstructor = &reconstructor;
-  auto bayes = NaiveBayesClassifier::Train(*dataset, nb_options);
-  if (!bayes.ok()) return Fail(bayes.status().ToString());
-
   if (eval_path.empty()) {
-    std::printf("(no --eval data given; trained models only)\n");
+    std::printf("(no --eval data given; trained tree only)\n");
     return 0;
   }
   if (schema_spec.empty()) return Fail("--eval needs --schema");
@@ -171,14 +166,8 @@ int main(int argc, char** argv) {
   }
   std::vector<int32_t> truth = categories.Map(table->column(*sens));
   EvalResult tree_eval = EvaluateTree(*tree, *table, qi, truth);
-  size_t nb_correct = 0;
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    if (bayes->ClassifyRow(*table, qi, r) == truth[r]) ++nb_correct;
-  }
   std::printf("evaluated on %zu rows:\n", table->num_rows());
   std::printf("  decision tree error : %.4f\n", tree_eval.error());
-  std::printf("  naive Bayes error   : %.4f\n",
-              1.0 - nb_correct / static_cast<double>(table->num_rows()));
   std::printf("  majority floor      : %.4f\n",
               MajorityBaselineError(truth, categories.num_categories()));
   return 0;

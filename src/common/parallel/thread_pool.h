@@ -31,9 +31,9 @@ struct IndexRange {
 /// elsewhere).
 ///
 /// The pool is deliberately dumb: it owns N threads and a FIFO task queue,
-/// nothing else. All scheduling policy lives in ParallelFor /
-/// ParallelReduce below, whose contracts are what the differential tests
-/// in tests/parallel_equivalence_test.cc pin down: for the same inputs the
+/// nothing else. All scheduling policy lives in ParallelFor below, whose
+/// contract is what the differential tests in
+/// tests/parallel_equivalence_test.cc pin down: for the same inputs the
 /// result is bit-identical whether work runs on 1, 2 or 64 threads.
 ///
 /// Thread safety: Start/Stop/Submit may be called concurrently; Start and
@@ -119,37 +119,6 @@ class ThreadPool {
 [[nodiscard]] Status ParallelFor(
     ThreadPool* pool, IndexRange range, size_t grain,
     const std::function<Status(size_t, size_t)>& fn);
-
-/// \brief Deterministic parallel map-reduce.
-///
-/// `map_chunk(chunk_begin, chunk_end) -> Result<T>` runs once per chunk
-/// via ParallelFor; the partial results are then combined *serially in
-/// chunk order* as a left fold starting from `init`:
-///   acc = combine(acc, part_0); acc = combine(acc, part_1); ...
-/// Because the fold order is the chunk order, non-associative combines
-/// (floating-point sums, max-with-ties) give the same answer at every
-/// thread count.
-template <typename T, typename MapFn, typename CombineFn>
-[[nodiscard]] Result<T> ParallelReduce(ThreadPool* pool, IndexRange range,
-                                       size_t grain, T init,
-                                       const MapFn& map_chunk,
-                                       const CombineFn& combine) {
-  if (grain == 0) {
-    return Status::InvalidArgument("ParallelReduce grain must be >= 1");
-  }
-  const size_t n = range.size();
-  const size_t num_chunks = n == 0 ? 0 : (n + grain - 1) / grain;
-  std::vector<T> parts(num_chunks);
-  RETURN_IF_ERROR(ParallelFor(
-      pool, range, grain, [&](size_t chunk_begin, size_t chunk_end) -> Status {
-        const size_t chunk = (chunk_begin - range.begin) / grain;
-        ASSIGN_OR_RETURN(parts[chunk], map_chunk(chunk_begin, chunk_end));
-        return Status::OK();
-      }));
-  T acc = std::move(init);
-  for (T& part : parts) acc = combine(std::move(acc), std::move(part));
-  return acc;
-}
 
 /// \brief Resolves a `num_threads` option to a pool.
 ///

@@ -54,49 +54,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t universe, size_t n) {
   return out;
 }
 
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  const size_t n = weights.size();
-  PGPUB_CHECK_GT(n, 0u);
-  double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  PGPUB_CHECK_GT(total, 0.0);
-
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  std::vector<double> scaled(n);
-  for (size_t i = 0; i < n; ++i) {
-    PGPUB_CHECK_GE(weights[i], 0.0);
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-  }
-
-  std::vector<uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    uint32_t s = small.back();
-    small.pop_back();
-    uint32_t l = large.back();
-    large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  while (!large.empty()) {
-    prob_[large.back()] = 1.0;
-    large.pop_back();
-  }
-  while (!small.empty()) {
-    prob_[small.back()] = 1.0;
-    small.pop_back();
-  }
-}
-
-size_t AliasSampler::Sample(Rng& rng) const {
-  size_t i = rng.UniformU64(prob_.size());
-  return rng.UniformDouble() < prob_[i] ? i : alias_[i];
-}
-
 }  // namespace pgpub

@@ -138,25 +138,4 @@ class Rng {
   uint64_t state_[4];
 };
 
-/// \brief Precomputed sampler for a fixed discrete distribution
-/// (Walker/Vose alias method): O(n) build, O(1) draw.
-///
-/// Used on hot paths where perturbation replaces a sensitive value by a draw
-/// from a non-uniform distribution many millions of times.
-class AliasSampler {
- public:
-  /// Builds the sampler over `weights` (must be non-empty with positive sum;
-  /// individual weights must be >= 0).
-  explicit AliasSampler(const std::vector<double>& weights);
-
-  /// Draws an index in [0, size()).
-  size_t Sample(Rng& rng) const;
-
-  size_t size() const { return prob_.size(); }
-
- private:
-  std::vector<double> prob_;
-  std::vector<uint32_t> alias_;
-};
-
 }  // namespace pgpub

@@ -16,14 +16,6 @@ int64_t DiscernibilityPenalty(const QiGroups& groups) {
   return penalty;
 }
 
-double AverageGroupRatio(const QiGroups& groups, int k) {
-  if (groups.num_groups() == 0 || k <= 0) return 0.0;
-  size_t n = 0;
-  for (const auto& g : groups.group_rows) n += g.size();
-  return (static_cast<double>(n) / static_cast<double>(groups.num_groups())) /
-         static_cast<double>(k);
-}
-
 double GlobalNcp(const Table& table, const GlobalRecoding& recoding) {
   const size_t n = table.num_rows();
   if (n == 0 || recoding.qi_attrs.empty()) return 0.0;

@@ -14,9 +14,6 @@ bool IsKAnonymous(const QiGroups& groups, int k);
 /// Discernibility penalty: sum over groups of |group|^2 (Bayardo–Agrawal).
 int64_t DiscernibilityPenalty(const QiGroups& groups);
 
-/// Normalized average group size C_avg = (n / #groups) / k; 1.0 is ideal.
-double AverageGroupRatio(const QiGroups& groups, int k);
-
 /// Global certainty penalty: mean over all rows and QI attributes of
 /// (interval_width - 1) / (domain_size - 1); 0 = no generalization,
 /// 1 = fully suppressed. Attributes with a single-code domain contribute 0.

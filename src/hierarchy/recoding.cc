@@ -72,27 +72,6 @@ void AttributeRecoding::SplitAt(int32_t first_code_of_right) {
   RebuildIndex();
 }
 
-Status AttributeRecoding::SpecializeByTaxonomy(const Taxonomy& taxonomy,
-                                               int node_id) {
-  if (node_id < 0 || node_id >= taxonomy.num_nodes()) {
-    return Status::InvalidArgument("bad taxonomy node id");
-  }
-  const TaxonomyNode& node = taxonomy.node(node_id);
-  if (node.children.empty()) {
-    return Status::FailedPrecondition("cannot specialize a leaf node");
-  }
-  int32_t gen = GenOf(node.range.lo);
-  if (GenInterval(gen) != node.range) {
-    return Status::FailedPrecondition(
-        "recoding has no generalized value matching taxonomy node '" +
-        node.label + "'");
-  }
-  for (size_t i = 1; i < node.children.size(); ++i) {
-    SplitAt(taxonomy.node(node.children[i]).range.lo);
-  }
-  return Status::OK();
-}
-
 std::string AttributeRecoding::Render(int32_t gen,
                                       const AttributeDomain& domain,
                                       const Taxonomy* taxonomy) const {

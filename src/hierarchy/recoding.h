@@ -54,11 +54,6 @@ class AttributeRecoding {
   /// domain_size.
   void SplitAt(int32_t first_code_of_right);
 
-  /// Replaces the generalized value covering `node`'s range by one value
-  /// per child of `node` in `taxonomy`. The recoding must currently have a
-  /// gen value exactly matching the node's range.
-  [[nodiscard]] Status SpecializeByTaxonomy(const Taxonomy& taxonomy, int node_id);
-
   /// Renders a generalized value: singleton -> the domain value; exact
   /// taxonomy-node match -> node label; otherwise "[lo_value, hi_value]".
   std::string Render(int32_t gen, const AttributeDomain& domain,

@@ -1,7 +1,5 @@
 #include "perturb/randomized_response.h"
 
-#include <cmath>
-
 #include "common/failpoint.h"
 #include "common/logging.h"
 
@@ -14,25 +12,6 @@ namespace {
 /// setups + draws, small enough to load-balance a 100k-row table over
 /// many workers.
 constexpr size_t kPerturbGrain = 4096;
-
-/// Shared body of the two PerturbColumnStreams overloads: fills
-/// out[i] = perturb_at(column[i], i) chunk-wise via ParallelFor.
-template <typename PerturbAtFn>
-Result<std::vector<int32_t>> PerturbColumnStreamsImpl(
-    const std::vector<int32_t>& column, ThreadPool* pool,
-    const PerturbAtFn& perturb_at) {
-  std::vector<int32_t> out(column.size());
-  RETURN_IF_ERROR(ParallelFor(
-      pool, IndexRange(0, column.size()), kPerturbGrain,
-      [&](size_t begin, size_t end) -> Status {
-        PGPUB_FAILPOINT(failpoints::kPerturbWorker);
-        for (size_t i = begin; i < end; ++i) {
-          out[i] = perturb_at(column[i], static_cast<uint64_t>(i));
-        }
-        return Status::OK();
-      }));
-  return out;
-}
 
 }  // namespace
 
@@ -59,86 +38,20 @@ int32_t UniformPerturbation::Perturb(int32_t value, Rng& rng) const {
   return static_cast<int32_t>(rng.UniformU64(domain_size_));
 }
 
-std::vector<int32_t> UniformPerturbation::PerturbColumn(
-    const std::vector<int32_t>& column, Rng& rng) const {
-  std::vector<int32_t> out;
-  out.reserve(column.size());
-  for (int32_t v : column) out.push_back(Perturb(v, rng));
-  return out;
-}
-
 Result<std::vector<int32_t>> UniformPerturbation::PerturbColumnStreams(
     const std::vector<int32_t>& column, uint64_t seed,
     ThreadPool* pool) const {
-  return PerturbColumnStreamsImpl(
-      column, pool,
-      [&](int32_t v, uint64_t i) { return PerturbAt(v, seed, i); });
-}
-
-Result<PerturbationMatrix> PerturbationMatrix::Create(
-    std::vector<std::vector<double>> matrix) {
-  if (matrix.empty()) {
-    return Status::InvalidArgument("perturbation matrix must be non-empty");
-  }
-  const size_t m = matrix.size();
-  for (const auto& row : matrix) {
-    if (row.size() != m) {
-      return Status::InvalidArgument("perturbation matrix must be square");
-    }
-    double sum = 0.0;
-    for (double v : row) {
-      if (v < 0.0) {
-        return Status::InvalidArgument(
-            "perturbation probabilities must be non-negative");
-      }
-      sum += v;
-    }
-    if (std::fabs(sum - 1.0) > 1e-9) {
-      return Status::InvalidArgument(
-          "each perturbation matrix row must sum to 1");
-    }
-  }
-  PerturbationMatrix pm;
-  pm.rows_ = std::move(matrix);
-  pm.samplers_.reserve(m);
-  for (const auto& row : pm.rows_) pm.samplers_.emplace_back(row);
-  return pm;
-}
-
-PerturbationMatrix PerturbationMatrix::Uniform(double p,
-                                               int32_t domain_size) {
-  UniformPerturbation up(p, domain_size);
-  std::vector<std::vector<double>> rows(
-      domain_size, std::vector<double>(domain_size));
-  for (int32_t a = 0; a < domain_size; ++a) {
-    for (int32_t b = 0; b < domain_size; ++b) {
-      rows[a][b] = up.TransitionProb(a, b);
-    }
-  }
-  // Rows form a proper stochastic channel by construction; cannot fail.
-  // pgpub-lint: allow(unchecked-result)
-  return Create(std::move(rows)).ValueOrDie();
-}
-
-int32_t PerturbationMatrix::Perturb(int32_t value, Rng& rng) const {
-  PGPUB_CHECK(value >= 0 && value < domain_size());
-  return static_cast<int32_t>(samplers_[value].Sample(rng));
-}
-
-std::vector<int32_t> PerturbationMatrix::PerturbColumn(
-    const std::vector<int32_t>& column, Rng& rng) const {
-  std::vector<int32_t> out;
-  out.reserve(column.size());
-  for (int32_t v : column) out.push_back(Perturb(v, rng));
+  std::vector<int32_t> out(column.size());
+  RETURN_IF_ERROR(ParallelFor(
+      pool, IndexRange(0, column.size()), kPerturbGrain,
+      [&](size_t begin, size_t end) -> Status {
+        PGPUB_FAILPOINT(failpoints::kPerturbWorker);
+        for (size_t i = begin; i < end; ++i) {
+          out[i] = PerturbAt(column[i], seed, static_cast<uint64_t>(i));
+        }
+        return Status::OK();
+      }));
   return out;
-}
-
-Result<std::vector<int32_t>> PerturbationMatrix::PerturbColumnStreams(
-    const std::vector<int32_t>& column, uint64_t seed,
-    ThreadPool* pool) const {
-  return PerturbColumnStreamsImpl(
-      column, pool,
-      [&](int32_t v, uint64_t i) { return PerturbAt(v, seed, i); });
 }
 
 }  // namespace pgpub

@@ -35,14 +35,6 @@ class UniformPerturbation {
   /// Perturbs one value.
   int32_t Perturb(int32_t value, Rng& rng) const;
 
-  /// Perturbs a whole column (out-of-place).
-  ///
-  /// Draws from one sequential stream, so the result for tuple i depends
-  /// on every tuple before it — any reordering changes the output. Kept
-  /// for statistical tooling; the publisher uses PerturbColumnStreams.
-  std::vector<int32_t> PerturbColumn(const std::vector<int32_t>& column,
-                                     Rng& rng) const;
-
   /// Perturbs one value as stream `index` of `seed` — a pure function of
   /// (seed, index, value), independent of call order and thread count.
   int32_t PerturbAt(int32_t value, uint64_t seed, uint64_t index) const {
@@ -61,47 +53,6 @@ class UniformPerturbation {
  private:
   double p_;
   int32_t domain_size_;
-};
-
-/// \brief General row-stochastic perturbation matrix (the randomized-
-/// response generalization of UniformPerturbation). Row a gives the
-/// distribution of the perturbed value when the true value is a.
-class PerturbationMatrix {
- public:
-  /// `matrix[a][b]` = P[a -> b]; every row must be a distribution.
-  [[nodiscard]] static Result<PerturbationMatrix> Create(
-      std::vector<std::vector<double>> matrix);
-
-  /// The matrix equivalent of UniformPerturbation(p, m).
-  static PerturbationMatrix Uniform(double p, int32_t domain_size);
-
-  int32_t domain_size() const { return static_cast<int32_t>(rows_.size()); }
-  double TransitionProb(int32_t a, int32_t b) const { return rows_[a][b]; }
-  const std::vector<double>& row(int32_t a) const { return rows_[a]; }
-
-  /// Perturbs one value (alias sampling, O(1) per draw).
-  int32_t Perturb(int32_t value, Rng& rng) const;
-
-  /// Sequential-stream column perturbation (see the UniformPerturbation
-  /// overload for the ordering caveat).
-  std::vector<int32_t> PerturbColumn(const std::vector<int32_t>& column,
-                                     Rng& rng) const;
-
-  /// Stream-keyed single-value perturbation (order/thread invariant).
-  int32_t PerturbAt(int32_t value, uint64_t seed, uint64_t index) const {
-    Rng rng = Rng::ForStream(seed, index);
-    return Perturb(value, rng);
-  }
-
-  /// Stream-keyed column perturbation, optionally parallel over `pool`;
-  /// bit-identical at every thread count.
-  [[nodiscard]] Result<std::vector<int32_t>> PerturbColumnStreams(
-      const std::vector<int32_t>& column, uint64_t seed,
-      ThreadPool* pool = nullptr) const;
-
- private:
-  std::vector<std::vector<double>> rows_;
-  std::vector<AliasSampler> samplers_;
 };
 
 }  // namespace pgpub

@@ -1,10 +1,9 @@
 #include "perturb/reconstruction.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/math_util.h"
 
 namespace pgpub {
 
@@ -43,76 +42,6 @@ std::vector<double> Reconstructor::ReconstructCounts(
   const double scale = total / est_total;
   for (double& e : est) e *= scale;
   return est;
-}
-
-Result<std::vector<double>> InvertChannel(
-    const PerturbationMatrix& matrix, const std::vector<double>& observed) {
-  const int m = matrix.domain_size();
-  if (static_cast<int>(observed.size()) != m) {
-    return Status::InvalidArgument("observed size != matrix dimension");
-  }
-  // Solve A x = b with A[b][a] = P[a -> b] (transpose of the channel).
-  std::vector<std::vector<double>> a(m, std::vector<double>(m));
-  std::vector<double> b = observed;
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < m; ++j) a[i][j] = matrix.TransitionProb(j, i);
-  }
-  for (int col = 0; col < m; ++col) {
-    // Partial pivot.
-    int pivot = col;
-    for (int r = col + 1; r < m; ++r) {
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
-    }
-    if (std::fabs(a[pivot][col]) < 1e-12) {
-      return Status::FailedPrecondition(
-          "perturbation channel is singular; cannot invert");
-    }
-    std::swap(a[col], a[pivot]);
-    std::swap(b[col], b[pivot]);
-    for (int r = 0; r < m; ++r) {
-      if (r == col) continue;
-      const double f = a[r][col] / a[col][col];
-      for (int c = col; c < m; ++c) a[r][c] -= f * a[col][c];
-      b[r] -= f * b[col];
-    }
-  }
-  std::vector<double> x(m);
-  for (int i = 0; i < m; ++i) x[i] = b[i] / a[i][i];
-  return x;
-}
-
-std::vector<double> IterativeBayesReconstruct(
-    const PerturbationMatrix& matrix, const std::vector<double>& observed,
-    int iterations) {
-  const int m = matrix.domain_size();
-  PGPUB_CHECK_EQ(static_cast<int>(observed.size()), m);
-  PGPUB_CHECK_GE(iterations, 1);
-
-  std::vector<double> obs_dist = observed;
-  if (!NormalizeInPlace(obs_dist)) {
-    return std::vector<double>(m, 1.0 / m);
-  }
-
-  std::vector<double> prior(m, 1.0 / m);
-  std::vector<double> next(m);
-  for (int it = 0; it < iterations; ++it) {
-    // next[a] = sum_b obs[b] * prior[a] P[a->b] / sum_a' prior[a'] P[a'->b]
-    std::fill(next.begin(), next.end(), 0.0);
-    for (int bcat = 0; bcat < m; ++bcat) {
-      if (obs_dist[bcat] <= 0.0) continue;
-      double denom = 0.0;
-      for (int acat = 0; acat < m; ++acat) {
-        denom += prior[acat] * matrix.TransitionProb(acat, bcat);
-      }
-      if (denom <= 0.0) continue;
-      for (int acat = 0; acat < m; ++acat) {
-        next[acat] += obs_dist[bcat] * prior[acat] *
-                      matrix.TransitionProb(acat, bcat) / denom;
-      }
-    }
-    prior = next;
-  }
-  return prior;
 }
 
 }  // namespace pgpub

@@ -1,10 +1,6 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
-
-#include "common/result.h"
-#include "perturb/randomized_response.h"
 
 namespace pgpub {
 
@@ -41,19 +37,5 @@ class Reconstructor {
   double p_;
   std::vector<double> category_weights_;
 };
-
-/// Solves M^T x = observed for a general row-stochastic channel M via
-/// Gaussian elimination with partial pivoting — the matrix-inversion
-/// reconstruction for arbitrary perturbation matrices. Fails when M is
-/// (numerically) singular, e.g. the fully randomizing channel.
-[[nodiscard]] Result<std::vector<double>> InvertChannel(const PerturbationMatrix& matrix,
-                                          const std::vector<double>& observed);
-
-/// Iterative Bayesian (EM) reconstruction of the true distribution from an
-/// observed perturbed sample (Agrawal–Srikant style). Always produces a
-/// valid distribution; `iterations` EM steps from the uniform start.
-std::vector<double> IterativeBayesReconstruct(
-    const PerturbationMatrix& matrix, const std::vector<double>& observed,
-    int iterations);
 
 }  // namespace pgpub

@@ -47,6 +47,7 @@
 #include "core/verify.h"
 #include "engine/publication_engine.h"
 #include "generalize/tds.h"
+#include "perturb/randomized_response.h"
 #include "sample/stratified.h"
 
 // Attack harness and scenario framework.
@@ -65,4 +66,3 @@
 #include "diversity/ldiversity.h"
 #include "mining/dataset_io.h"
 #include "mining/evaluate.h"
-#include "mining/naive_bayes.h"

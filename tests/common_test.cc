@@ -220,25 +220,6 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiased) {
   }
 }
 
-TEST(AliasSamplerTest, MatchesWeights) {
-  Rng rng(59);
-  std::vector<double> w = {5.0, 1.0, 0.0, 4.0};
-  AliasSampler sampler(w);
-  std::vector<int> counts(4, 0);
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) counts[sampler.Sample(rng)]++;
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.5, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.4, 0.01);
-}
-
-TEST(AliasSamplerTest, SingleOutcome) {
-  Rng rng(61);
-  AliasSampler sampler(std::vector<double>{3.0});
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(sampler.Sample(rng), 0u);
-}
-
 // ---------------------------------------------------------------- strings
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {

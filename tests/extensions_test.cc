@@ -1,6 +1,5 @@
-/// Tests for the extension modules: recoding serialization, naive-Bayes
-/// mining, downward guarantees wiring, and the TDS scoring ablation
-/// switch.
+/// Tests for the extension modules: recoding serialization and the TDS
+/// scoring ablation switch.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "generalize/tds.h"
 #include "hierarchy/recoding_io.h"
 #include "mining/evaluate.h"
-#include "mining/naive_bayes.h"
 
 namespace pgpub {
 namespace {
@@ -77,91 +75,6 @@ TEST(RecodingIoTest, RoundTripFromPublisherOutput) {
   QiGroups b = ComputeQiGroups(census.table, loaded);
   EXPECT_EQ(a.row_to_group, b.row_to_group);
   std::remove(path.c_str());
-}
-
-// -------------------------------------------------------------- NaiveBayes
-
-TEST(NaiveBayesTest, LearnsCleanSignal) {
-  CensusDataset census = GenerateCensus(20000, 69).ValueOrDie();
-  CategoryMap cats = CategoryMap::PaperIncome(2);
-  std::vector<int32_t> truth =
-      cats.Map(census.table.column(CensusColumns::kIncome));
-  const std::vector<int> qi = census.table.schema().QiIndices();
-  NaiveBayesClassifier model =
-      NaiveBayesClassifier::Train(
-          TreeDataset::FromRaw(census.table, qi, truth, 2, census.nominal),
-          NaiveBayesOptions{})
-          .ValueOrDie();
-  size_t correct = 0;
-  for (size_t r = 0; r < census.table.num_rows(); ++r) {
-    if (model.ClassifyRow(census.table, qi, r) == truth[r]) ++correct;
-  }
-  const double error =
-      1.0 - correct / static_cast<double>(census.table.num_rows());
-  EXPECT_LT(error, 0.2);
-  EXPECT_LT(error, MajorityBaselineError(truth, 2) - 0.1);
-}
-
-TEST(NaiveBayesTest, ReconstructionRecoversPerturbedLabels) {
-  const double p = 0.3;
-  CensusDataset census = GenerateCensus(60000, 70).ValueOrDie();
-  CategoryMap cats = CategoryMap::PaperIncome(2);
-  std::vector<int32_t> truth =
-      cats.Map(census.table.column(CensusColumns::kIncome));
-  const std::vector<int> qi = census.table.schema().QiIndices();
-
-  UniformPerturbation channel(p, 50);
-  Rng rng(71);
-  std::vector<int32_t> perturbed = channel.PerturbColumn(
-      census.table.column(CensusColumns::kIncome), rng);
-  TreeDataset noisy = TreeDataset::FromRaw(census.table, qi,
-                                           cats.Map(perturbed), 2,
-                                           census.nominal);
-
-  Reconstructor reconstructor(p, cats.Weights());
-  NaiveBayesOptions options;
-  options.reconstructor = &reconstructor;
-  NaiveBayesClassifier corrected =
-      NaiveBayesClassifier::Train(noisy, options).ValueOrDie();
-  NaiveBayesClassifier uncorrected =
-      NaiveBayesClassifier::Train(noisy, NaiveBayesOptions{}).ValueOrDie();
-
-  auto error_of = [&](const NaiveBayesClassifier& model) {
-    size_t correct = 0;
-    for (size_t r = 0; r < census.table.num_rows(); ++r) {
-      if (model.ClassifyRow(census.table, qi, r) == truth[r]) ++correct;
-    }
-    return 1.0 - correct / static_cast<double>(census.table.num_rows());
-  };
-  // Reconstruction must recover most of the clean model's quality and be
-  // at least as good as ignoring the channel.
-  EXPECT_LT(error_of(corrected), 0.25);
-  EXPECT_LE(error_of(corrected), error_of(uncorrected) + 0.01);
-}
-
-TEST(NaiveBayesTest, RejectsIllFormedInputs) {
-  NaiveBayesOptions options;
-  TreeDataset empty;
-  empty.num_classes = 2;
-  EXPECT_FALSE(NaiveBayesClassifier::Train(empty, options).ok());
-
-  CensusDataset census = GenerateCensus(100, 72).ValueOrDie();
-  CategoryMap cats = CategoryMap::PaperIncome(2);
-  std::vector<int32_t> truth =
-      cats.Map(census.table.column(CensusColumns::kIncome));
-  const std::vector<int> qi = census.table.schema().QiIndices();
-  TreeDataset ds =
-      TreeDataset::FromRaw(census.table, qi, truth, 2, census.nominal);
-  options.alpha = -1.0;
-  EXPECT_TRUE(NaiveBayesClassifier::Train(ds, options)
-                  .status()
-                  .IsInvalidArgument());
-  options.alpha = 1.0;
-  Reconstructor mismatched(0.3, {0.2, 0.3, 0.5});
-  options.reconstructor = &mismatched;
-  EXPECT_TRUE(NaiveBayesClassifier::Train(ds, options)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 // ----------------------------------------------------- TDS scoring ablation

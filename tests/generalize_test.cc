@@ -121,12 +121,6 @@ TEST(MetricsTest, DiscernibilityPenalty) {
   EXPECT_EQ(DiscernibilityPenalty(g), 4 + 9);
 }
 
-TEST(MetricsTest, AverageGroupRatio) {
-  QiGroups g;
-  g.group_rows = {{0, 1}, {2, 3, 4, 5}};
-  EXPECT_DOUBLE_EQ(AverageGroupRatio(g, 3), 1.0);
-}
-
 TEST(MetricsTest, NcpBoundsAndExtremes) {
   Fixture f = MakeFixture(200, 5);
   EXPECT_DOUBLE_EQ(

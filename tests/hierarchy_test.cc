@@ -198,22 +198,6 @@ TEST(RecodingTest, SplitAtRefines) {
   EXPECT_EQ(r.GenInterval(2), Interval(8, 9));
 }
 
-TEST(RecodingTest, SpecializeByTaxonomy) {
-  Taxonomy t = Taxonomy::Binary(8, "*");
-  AttributeRecoding r = AttributeRecoding::Single(8);
-  ASSERT_TRUE(r.SpecializeByTaxonomy(t, t.root()).ok());
-  EXPECT_EQ(r.num_gen_values(), 2);
-  // Specializing a node whose range is not a current gen value fails.
-  int deep = t.FindNode(Interval(0, 1));
-  if (deep >= 0 && !t.node(deep).children.empty()) {
-    EXPECT_TRUE(
-        r.SpecializeByTaxonomy(t, deep).IsFailedPrecondition());
-  }
-  // Leaf specialization fails.
-  EXPECT_TRUE(
-      r.SpecializeByTaxonomy(t, t.LeafOf(0)).IsFailedPrecondition());
-}
-
 TEST(RecodingTest, RenderUsesSemanticLabelsButNotCodeIntervals) {
   AttributeDomain domain = AttributeDomain::Numeric(21, 80);
   // Semantic taxonomy label.

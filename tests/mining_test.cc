@@ -8,6 +8,7 @@
 #include "mining/category.h"
 #include "mining/decision_tree.h"
 #include "mining/evaluate.h"
+#include "perturb/randomized_response.h"
 
 namespace pgpub {
 namespace {

@@ -24,7 +24,8 @@ namespace {
 
 TEST(EstimatorConsistencyTest, ReconstructorMatchesChannelInversion) {
   // On noiseless (expected) observations over a uniform channel, the
-  // moment reconstructor and full matrix inversion agree.
+  // moment reconstructor recovers the true distribution exactly — the
+  // answer inverting the channel would give.
   Rng rng(1);
   for (int trial = 0; trial < 20; ++trial) {
     const int m = 2 + static_cast<int>(rng.UniformU64(5));
@@ -49,31 +50,6 @@ TEST(EstimatorConsistencyTest, ReconstructorMatchesChannelInversion) {
     for (int b = 0; b < m; ++b) {
       EXPECT_NEAR(est[b] / total, truth[b], 1e-9)
           << "trial " << trial << " class " << b;
-    }
-  }
-}
-
-TEST(EstimatorConsistencyTest, InversionAndEmAgreeOnExpectedData) {
-  Rng rng(2);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int m = 3 + static_cast<int>(rng.UniformU64(4));
-    const double p = 0.2 + 0.6 * rng.UniformDouble();
-    PerturbationMatrix channel = PerturbationMatrix::Uniform(p, m);
-    std::vector<double> truth(m);
-    for (double& t : truth) t = 0.05 + rng.UniformDouble();
-    NormalizeInPlace(truth);
-    std::vector<double> observed(m, 0.0);
-    for (int b = 0; b < m; ++b) {
-      for (int a = 0; a < m; ++a) {
-        observed[b] += truth[a] * channel.TransitionProb(a, b);
-      }
-    }
-    std::vector<double> inverted =
-        InvertChannel(channel, observed).ValueOrDie();
-    std::vector<double> em = IterativeBayesReconstruct(channel, observed, 500);
-    for (int a = 0; a < m; ++a) {
-      EXPECT_NEAR(inverted[a], truth[a], 1e-9);
-      EXPECT_NEAR(em[a], truth[a], 0.02);
     }
   }
 }

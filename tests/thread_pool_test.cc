@@ -1,5 +1,5 @@
 /// Property/stress tests for the parallel execution engine: pool
-/// lifecycle, the deterministic ParallelFor/ParallelReduce contracts,
+/// lifecycle, the deterministic ParallelFor contract,
 /// exception containment, nested-region rejection, and a 10k-task churn.
 /// Runs under the TSan CI job — the scheduling here is deliberately
 /// adversarial so races surface as test failures, not as assumptions.
@@ -169,56 +169,6 @@ TEST(ParallelForTest, TenThousandTaskChurn) {
   }
   // 4 rounds of sum over 0..9999.
   EXPECT_EQ(sum.load(), 4ull * (9999ull * 10000ull / 2));
-}
-
-TEST(ParallelReduceTest, OrderSensitiveCombineMatchesSerialFold) {
-  // String concatenation is non-commutative: any out-of-order combine
-  // would scramble the result, so equality with the serial fold proves
-  // the chunk-order contract.
-  auto map_chunk = [](size_t begin, size_t end) -> Result<std::string> {
-    std::string s;
-    for (size_t i = begin; i < end; ++i) s += std::to_string(i) + ",";
-    return s;
-  };
-  auto combine = [](std::string acc, std::string part) {
-    return acc + part;
-  };
-  Result<std::string> serial = ParallelReduce<std::string>(
-      nullptr, IndexRange(0, 100), 7, std::string(), map_chunk, combine);
-  ASSERT_TRUE(serial.ok());
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    Result<std::string> parallel = ParallelReduce<std::string>(
-        &pool, IndexRange(0, 100), 7, std::string(), map_chunk, combine);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(*serial, *parallel) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelReduceTest, FloatSumsAreBitIdenticalAcrossThreadCounts) {
-  // Left-fold in chunk order makes even non-associative double addition
-  // reproducible.
-  auto map_chunk = [](size_t begin, size_t end) -> Result<double> {
-    double s = 0.0;
-    for (size_t i = begin; i < end; ++i) {
-      Rng rng = Rng::ForStream(99, i);
-      s += rng.UniformDouble();
-    }
-    return s;
-  };
-  auto combine = [](double acc, double part) { return acc + part; };
-  Result<double> serial = ParallelReduce<double>(
-      nullptr, IndexRange(0, 5000), 64, 0.0, map_chunk, combine);
-  ASSERT_TRUE(serial.ok());
-  for (int threads : {2, 8}) {
-    ThreadPool pool(threads);
-    Result<double> parallel = ParallelReduce<double>(
-        &pool, IndexRange(0, 5000), 64, 0.0, map_chunk, combine);
-    ASSERT_TRUE(parallel.ok());
-    // Bit-identical, not just close.
-    EXPECT_EQ(*serial, *parallel)  // pgpub-lint: allow(float-equality)
-        << "threads=" << threads;
-  }
 }
 
 TEST(PoolLeaseTest, ResolvesOptionSemantics) {
