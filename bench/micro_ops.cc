@@ -1,8 +1,8 @@
 /// \file micro_ops.cc
 /// google-benchmark micro-benchmarks of the pipeline stages (DESIGN.md
-/// E9/E10): perturbation throughput, QI grouping, TDS generalization,
-/// stratified sampling, end-to-end publication scaling, attack posterior
-/// computation, and the guarantee solvers.
+/// E9/E10): perturbation throughput, QI grouping, TDS and Incognito
+/// generalization, stratified sampling, end-to-end publication scaling,
+/// attack posterior computation, and the guarantee solvers.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +12,8 @@
 #include "bench/bench_report.h"
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
+#include "datagen/sal.h"
+#include "generalize/incognito.h"
 #include "generalize/tds.h"
 #include "mining/category.h"
 #include "mining/decision_tree.h"
@@ -120,6 +122,30 @@ void BM_TdsGeneralization(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_TdsGeneralization)->Arg(10000)->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Incognito's full-domain lattice search, serial, at the paper's k = 10
+/// over the first arg0 rows of the seed-42 SAL table (the `incognito_cold`
+/// table of perfbench at 100k). Incognito never reads labels, so this is
+/// the whole Phase-2 cost of an Incognito publish.
+void BM_IncognitoSearch(benchmark::State& state) {
+  SalOptions sal_options;
+  sal_options.num_rows = static_cast<size_t>(state.range(0));
+  sal_options.seed = 42;
+  const CensusDataset sal = GenerateSal(sal_options).ValueOrDie();
+  const std::vector<int> qi = sal.table.schema().QiIndices();
+  IncognitoOptions options;
+  options.k = 10;
+  for (auto _ : state) {
+    auto recoding =
+        IncognitoSearch(sal.table, qi, sal.TaxonomyPointers(), options)
+            .ValueOrDie();
+    benchmark::DoNotOptimize(recoding);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(sal.table.num_rows()));
+}
+BENCHMARK(BM_IncognitoSearch)->Arg(20000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_StratifiedSampling(benchmark::State& state) {

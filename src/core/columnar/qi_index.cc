@@ -9,6 +9,22 @@
 namespace pgpub::columnar {
 namespace {
 
+/// Per-thread memory of LatticeCounter::AnonymousChildren.
+struct FoldScratch {
+  std::vector<uint32_t> ids;    ///< [tuple] cell number under the parent
+  std::vector<uint32_t> slots;  ///< [cell] number + 1, or row count
+  std::unordered_map<uint64_t, int64_t> sparse;  ///< slots above budget
+};
+
+constexpr uint64_t kDenseSlots = kDenseTableBytes / sizeof(uint32_t);
+
+/// The first `cells` slots, zeroed (grows the table as needed).
+uint32_t* ZeroedSlots(std::vector<uint32_t>* slots, uint64_t cells) {
+  if (slots->size() < cells) slots->resize(cells);
+  std::fill_n(slots->begin(), cells, 0u);
+  return slots->data();
+}
+
 /// True when the mixed-radix signature over `qi_attrs` domains fits u64,
 /// enabling the single-pass build. `*radix` gets the product on success.
 bool RadixFits(const Table& table, const std::vector<int>& qi_attrs,
@@ -106,108 +122,142 @@ LatticeCounter::LatticeCounter(const QiIndex* index,
   PGPUB_CHECK(index_ != nullptr);
   const size_t d = index_->qi_attrs().size();
   PGPUB_CHECK_EQ(taxonomies.size(), d);
+  PGPUB_CHECK_LE(d, kMaxLatticeAttrs);
   remap_.resize(d);
   num_intervals_.resize(d);
+  ncp_terms_.resize(d);
   for (size_t a = 0; a < d; ++a) {
     const Taxonomy* tax = taxonomies[a];
     PGPUB_CHECK(tax != nullptr);
+    const int32_t domain = tax->domain_size();
+    // rows_with[c] = number of table rows whose attribute-a code is c.
+    std::vector<int64_t> rows_with(domain, 0);
+    const std::vector<int32_t>& codes = index_->codes(a);
+    for (size_t t = 0; t < codes.size(); ++t) {
+      rows_with[codes[t]] += index_->weights()[t];
+    }
     const int height = tax->height();
     remap_[a].resize(height + 1);
     num_intervals_[a].resize(height + 1);
+    ncp_terms_[a].assign(height + 1, 0.0);
     for (int depth = 0; depth <= height; ++depth) {
       const std::vector<int> cut = tax->CutAtDepth(depth);
-      std::vector<int32_t>& codes = remap_[a][depth];
-      codes.resize(tax->domain_size());
+      std::vector<int32_t>& ranks = remap_[a][depth];
+      ranks.resize(domain);
+      // Σ over rows of (width - 1), exact in integers; one division
+      // below turns it into the attribute's NCP share.
+      int64_t penalty = 0;
       for (size_t rank = 0; rank < cut.size(); ++rank) {
         const Interval& range = tax->node(cut[rank]).range;
         for (int32_t c = range.lo; c <= range.hi; ++c) {
-          codes[c] = static_cast<int32_t>(rank);
+          ranks[c] = static_cast<int32_t>(rank);
+          penalty += rows_with[c] * (range.width() - 1);
         }
       }
       num_intervals_[a][depth] = static_cast<int32_t>(cut.size());
+      if (domain > 1) {
+        ncp_terms_[a][depth] =
+            static_cast<double>(penalty) / static_cast<double>(domain - 1);
+      }
     }
   }
 }
 
-bool LatticeCounter::IsKAnonymousAtDepths(const std::vector<int>& depths,
-                                          int k) const {
+uint64_t LatticeCounter::AnonymousChildren(const std::vector<int>& parent,
+                                           uint64_t child_attrs,
+                                           int k) const {
   const size_t d = remap_.size();
-  PGPUB_CHECK_EQ(depths.size(), d);
-  // One scratch per thread, reused by every fold that thread runs: after
-  // warm-up a fold allocates nothing, and concurrent folds never share.
-  thread_local Phase2Scratch scratch;
+  PGPUB_CHECK_EQ(parent.size(), d);
+  PGPUB_CHECK_GE(k, 1);
+  thread_local FoldScratch scratch;
+  auto clamped = [&](size_t a, int depth) {
+    return std::min(depth, static_cast<int>(remap_[a].size()) - 1);
+  };
 
-  // Resolve each attribute's remap (depths clamp like RecodingAtDepths)
-  // and the mixed-radix cell strides over interval ranks.
-  const int32_t* maps[kMaxLatticeAttrs];
-  uint64_t widths[kMaxLatticeAttrs];
-  uint64_t strides[kMaxLatticeAttrs];
-  PGPUB_CHECK_LE(d, kMaxLatticeAttrs);
-  uint64_t cells = 1;
-  bool cells_fit = true;
-  for (size_t a = d; a-- > 0;) {
-    const int height = static_cast<int>(remap_[a].size()) - 1;
-    const int depth = std::min(depths[a], height);
-    maps[a] = remap_[a][depth].data();
-    widths[a] = static_cast<uint64_t>(num_intervals_[a][depth]);
-    strides[a] = cells;
-    cells_fit = cells_fit && !__builtin_mul_overflow(cells, widths[a], &cells);
-  }
-
+  // Fold the parent: after attribute a, ids[t] numbers the distinct cells
+  // of the parent restricted to attributes 0..a. The key (number, rank)
+  // fits u64 since both factors are < 2^32, and the numbers stay below
+  // the tuple count, so every step is exact whatever the cell space.
   const size_t m = index_->num_tuples();
-  const std::vector<int64_t>& weights = index_->weights();
-  if (!cells_fit) {
-    // The cell key overflows u64: label tuples one attribute at a time,
-    // as QiIndex::Build's multi-pass branch labels rows. A key (label,
-    // rank) always fits u64 since both factors are < 2^32, and the final
-    // labels number at most m, so they count densely.
-    std::vector<uint64_t> labels(m, 0);
-    auto& refine = scratch.sparse_counts;
-    for (size_t a = 0; a < d; ++a) {
-      refine.clear();
-      const std::vector<int32_t>& codes = index_->codes(a);
+  scratch.ids.assign(m, 0);  // keeps its capacity
+  uint32_t* ids = scratch.ids.data();
+  uint64_t num_ids = 1;
+  for (size_t a = 0; a < d; ++a) {
+    const int depth = clamped(a, parent[a]);
+    const auto width = static_cast<uint64_t>(num_intervals_[a][depth]);
+    if (width == 1) continue;  // one interval refines nothing
+    const int32_t* map = remap_[a][depth].data();
+    const int32_t* codes = index_->codes(a).data();
+    const uint64_t cells = num_ids * width;
+    if (cells <= kDenseSlots) {
+      uint32_t* number = ZeroedSlots(&scratch.slots, cells);
+      uint32_t next = 0;
       for (size_t t = 0; t < m; ++t) {
-        const uint64_t key =
-            labels[t] * widths[a] + static_cast<uint64_t>(maps[a][codes[t]]);
-        labels[t] = static_cast<uint64_t>(
-            refine.emplace(key, static_cast<int64_t>(refine.size()))
+        uint32_t& slot = number[ids[t] * width + map[codes[t]]];
+        if (slot == 0) slot = ++next;
+        ids[t] = slot - 1;
+      }
+      num_ids = next;
+    } else {
+      auto& number = scratch.sparse;
+      number.clear();  // keeps its buckets — no steady-state allocation
+      for (size_t t = 0; t < m; ++t) {
+        const uint64_t cell = ids[t] * width + map[codes[t]];
+        ids[t] = static_cast<uint32_t>(
+            number.emplace(cell, static_cast<int64_t>(number.size()))
                 .first->second);
       }
+      num_ids = number.size();
     }
-    DenseGroupCounter& dense = scratch.dense;
-    dense.Begin(m);
-    for (size_t t = 0; t < m; ++t) dense.Add(labels[t], weights[t]);
-    return dense.AllAtLeast(k);
   }
 
-  if (cells <= kDenseCellBudget) {
-    DenseGroupCounter& dense = scratch.dense;
-    dense.Begin(cells);
-    for (size_t t = 0; t < m; ++t) {
-      uint64_t cell = 0;
-      for (size_t a = 0; a < d; ++a) {
-        cell += static_cast<uint64_t>(maps[a][index_->codes(a)[t]]) *
-                strides[a];
+  // Each child p + e_j refines the parent's cells by attribute j alone:
+  // one pass sums its rows per cell.
+  const int64_t* weights = index_->weights().data();
+  uint64_t anonymous = 0;
+  for (size_t j = 0; j < d; ++j) {
+    if ((child_attrs >> j & 1) == 0) continue;
+    const int depth = clamped(j, parent[j] + 1);
+    const auto width = static_cast<uint64_t>(num_intervals_[j][depth]);
+    const int32_t* map = remap_[j][depth].data();
+    const int32_t* codes = index_->codes(j).data();
+    const uint64_t cells = num_ids * width;
+    bool all_at_least_k = true;
+    if (cells <= kDenseSlots) {
+      uint32_t* rows = ZeroedSlots(&scratch.slots, cells);
+      for (size_t t = 0; t < m; ++t) {
+        rows[ids[t] * width + map[codes[t]]] +=
+            static_cast<uint32_t>(weights[t]);
       }
-      dense.Add(cell, weights[t]);
+      for (uint64_t c = 0; c < cells && all_at_least_k; ++c) {
+        all_at_least_k = rows[c] == 0 || rows[c] >= static_cast<uint32_t>(k);
+      }
+    } else {
+      auto& rows = scratch.sparse;
+      rows.clear();
+      for (size_t t = 0; t < m; ++t) {
+        rows[ids[t] * width + map[codes[t]]] += weights[t];
+      }
+      for (const auto& [cell, count] : rows) {
+        all_at_least_k = all_at_least_k && count >= k;
+      }
     }
-    return dense.AllAtLeast(k);
+    if (all_at_least_k) anonymous |= uint64_t{1} << j;
   }
+  return anonymous;
+}
 
-  auto& sparse = scratch.sparse_counts;
-  sparse.clear();  // keeps its buckets — no steady-state allocation
-  for (size_t t = 0; t < m; ++t) {
-    uint64_t cell = 0;
-    for (size_t a = 0; a < d; ++a) {
-      cell += static_cast<uint64_t>(maps[a][index_->codes(a)[t]]) *
-              strides[a];
-    }
-    sparse[cell] += weights[t];
+double LatticeCounter::NcpAtDepths(const std::vector<int>& depths) const {
+  const size_t d = ncp_terms_.size();
+  PGPUB_CHECK_EQ(depths.size(), d);
+  const size_t n = index_->num_rows();
+  if (n == 0 || d == 0) return 0.0;
+  double total = 0.0;
+  for (size_t a = 0; a < d; ++a) {
+    const int height = static_cast<int>(ncp_terms_[a].size()) - 1;
+    total += ncp_terms_[a][std::min(depths[a], height)];
   }
-  for (const auto& [cell, count] : sparse) {
-    if (count < k) return false;
-  }
-  return true;
+  return total / (static_cast<double>(n) * static_cast<double>(d));
 }
 
 }  // namespace pgpub::columnar

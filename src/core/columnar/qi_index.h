@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/columnar/arena.h"
 #include "hierarchy/taxonomy.h"
 #include "table/table.h"
 
@@ -18,15 +17,17 @@
 /// node's group counts *fold* from the base set in O(tuples · attrs) via
 /// per-(attr, depth) code-remap tables instead of rescanning rows.
 ///
-/// LatticeCounter applies that fold for Incognito: it precomputes, for
+/// LatticeCounter applies that fold for Incognito. It precomputes, for
 /// every (attribute, generalization depth), the map from raw code to the
-/// rank of the covering cut interval, and answers "is the lattice node at
-/// these depths k-anonymous?" with a radix pass over the base set into an
-/// epoch-marked dense counter (hash-map fallback above a cell budget).
-/// The verdict is exactly the row-wise
+/// rank of the covering cut interval. A check folds one k-anonymous
+/// parent node into per-tuple cell numbers, one attribute at a time, and
+/// then decides each child that specializes one attribute by one level
+/// in a single pass, by refining the parent's cells. The verdict is
+/// exactly the row-wise
 /// `IsKAnonymous(ComputeQiGroups(table, RecodingAtDepths(...)), k)`:
 /// both count the same partition, one over rows, one over tuples with
-/// multiplicity.
+/// multiplicity. It also precomputes each (attribute, depth)'s share of
+/// GlobalNcp, so scoring a node needs no pass over the table.
 namespace pgpub::columnar {
 
 /// \brief Distinct raw QI tuples of a table, columnar, with row counts.
@@ -61,12 +62,13 @@ class QiIndex {
   std::vector<int32_t> row_to_tuple_;        ///< [row]
 };
 
-/// \brief Incognito's k-anonymity oracle over the base frequency set.
+/// \brief Incognito's k-anonymity oracle and NCP scorer over the base
+/// frequency set.
 ///
-/// Construction precomputes the code→interval-rank remap for every
-/// (attribute, depth); each lattice-node check is then one fold over the
-/// base set. Thread-safe: each check folds into its thread's own
-/// thread-local Phase2Scratch.
+/// Thread-safe: each call folds into its thread's own thread-local
+/// scratch (a per-tuple cell-number array, a flat slot table and a hash
+/// map), reused by every call that thread makes, so after warm-up a call
+/// allocates nothing and concurrent calls never share memory.
 class LatticeCounter {
  public:
   /// `taxonomies` must outlive the counter and cover index->qi_attrs()
@@ -74,11 +76,20 @@ class LatticeCounter {
   LatticeCounter(const QiIndex* index,
                  std::vector<const Taxonomy*> taxonomies);
 
-  /// True iff every QI group of RecodingAtDepths(..., depths) has at
-  /// least k rows. Depths clamp to each taxonomy's height, mirroring
-  /// RecodingAtDepths. Exact at any cell-space size: a node whose cell
-  /// key would overflow u64 is counted by per-attribute refinement.
-  bool IsKAnonymousAtDepths(const std::vector<int>& depths, int k) const;
+  /// Decides the children of the lattice node at `parent` depths. Bit j
+  /// of `child_attrs` asks about the child one level deeper on attribute
+  /// j; bit j of the result is set iff every QI group of
+  /// RecodingAtDepths(..., that child) has at least k rows (k >= 1).
+  /// Depths clamp to each taxonomy's height, mirroring RecodingAtDepths.
+  /// One fold labels the parent's cells; each child then costs one pass
+  /// over the tuples. Exact at any cell-space size.
+  uint64_t AnonymousChildren(const std::vector<int>& parent,
+                             uint64_t child_attrs, int k) const;
+
+  /// GlobalNcp(table, RecodingAtDepths(..., depths)) from the
+  /// per-(attribute, depth) sums: the same value up to floating-point
+  /// summation order (depths clamp the same way).
+  double NcpAtDepths(const std::vector<int>& depths) const;
 
  private:
   const QiIndex* index_;
@@ -87,6 +98,9 @@ class LatticeCounter {
   std::vector<std::vector<std::vector<int32_t>>> remap_;
   /// num_intervals_[a][depth] = interval count of that cut (the radix).
   std::vector<std::vector<int32_t>> num_intervals_;
+  /// ncp_terms_[a][depth] = sum over rows of (interval width - 1) /
+  /// (domain size - 1) for that cut; 0 on a single-code domain.
+  std::vector<std::vector<double>> ncp_terms_;
 };
 
 /// Widest QI set a LatticeCounter (and so Incognito) accepts.
@@ -97,9 +111,10 @@ inline constexpr size_t kMaxLatticeAttrs = 64;
 /// verdicts live in one flat array.
 inline constexpr size_t kMaxLatticeNodes = 250000;
 
-/// Cells at or below this fit the dense epoch-marked counter; larger
-/// lattice nodes fall back to the reused hash map. Counting stays exact
-/// either way — this only trades memory for speed.
-inline constexpr uint64_t kDenseCellBudget = uint64_t{1} << 21;
+/// Largest flat slot table a LatticeCounter pass uses, in bytes (4 per
+/// cell). A pass whose cell space is wider numbers or counts its cells in
+/// a hash map instead; the result is exact either way — this only trades
+/// memory for speed.
+inline constexpr uint64_t kDenseTableBytes = uint64_t{1} << 20;
 
 }  // namespace pgpub::columnar

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <queue>
+#include <string>
+#include <utility>
 
 #include "common/failpoint.h"
-#include "generalize/metrics.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -60,6 +62,10 @@ Result<GlobalRecoding> IncognitoSearch(
       return Status::InvalidArgument("taxonomy domain size mismatch");
     }
   }
+  if (options.k < 1) {
+    return Status::InvalidArgument("k must be >= 1, got " +
+                                   std::to_string(options.k));
+  }
   if (table.num_rows() < static_cast<size_t>(options.k)) {
     return Status::FailedPrecondition(
         "table has fewer rows than k; no k-anonymous publication exists");
@@ -93,8 +99,8 @@ Result<GlobalRecoding> IncognitoSearch(
   };
 
   // Build the base frequency set and the per-(attr, depth) remap tables
-  // once (DESIGN.md §15); every node check below is then a fold over
-  // distinct tuples instead of a rescan of rows.
+  // and NCP sums once (DESIGN.md §15); every check below is then a fold
+  // over distinct tuples instead of a rescan of rows.
   std::unique_ptr<columnar::QiIndex> owned_index;
   const columnar::QiIndex* index = options.qi_index;
   if (index == nullptr || index->qi_attrs() != qi_attrs) {
@@ -104,14 +110,13 @@ Result<GlobalRecoding> IncognitoSearch(
   }
   const columnar::LatticeCounter counter(index, taxonomies);
 
-  // The k-anonymity of a node is a pure function of (table, node), so a
-  // level's candidates can be checked in parallel and their verdicts
-  // recorded afterwards without changing any answer.
-  auto check_anonymous = [&](size_t node) {
-    return counter.IsKAnonymousAtDepths(depths_of(node), options.k);
+  enum Verdict : uint8_t {
+    kUnknown,
+    kPending,   // a candidate with no parent fold assigned yet
+    kAssigned,  // a candidate some parent fold will decide
+    kAnonymous,
+    kNotAnonymous
   };
-
-  enum Verdict : uint8_t { kUnknown, kPending, kAnonymous, kNotAnonymous };
   std::vector<uint8_t> verdict(lattice_size, kUnknown);
   // Incognito's a-priori candidate rule: a node needs a fold only when
   // every direct generalization (one attr one level shallower) is
@@ -128,17 +133,26 @@ Result<GlobalRecoding> IncognitoSearch(
     }
     return true;
   };
+  // The level node's children still waiting for a parent, as a mask over
+  // the attribute each one specializes.
+  auto pending_children = [&](size_t node) {
+    uint64_t mask = 0;
+    for (size_t i = 0; i < d; ++i) {
+      if (depth_of(node, i) + 1 < radix[i] &&
+          verdict[node + stride[i]] == kPending) {
+        mask |= uint64_t{1} << i;
+      }
+    }
+    return mask;
+  };
 
   // BFS from the root (all depths 0 = most general). A node is *minimal*
   // k-anonymous when it is k-anonymous and none of its children (one attr
   // one level deeper) is. Every edge goes from level L (= depth sum) to
   // level L+1, so the FIFO BFS is exactly a level-order sweep, which is
   // how it runs: decide all of a level's children at once, then walk the
-  // level in order.
-  if (!check_anonymous(0)) {
-    return Status::Internal(
-        "fully generalized table is not k-anonymous despite n >= k");
-  }
+  // level in order. The root is one group of n >= k rows: anonymous
+  // without a fold.
   verdict[0] = kAnonymous;
   std::vector<size_t> level = {0};
 
@@ -150,6 +164,7 @@ Result<GlobalRecoding> IncognitoSearch(
   uint64_t minimal_nodes = 0;
   uint64_t anonymity_checks = 1;
   uint64_t checks_implied = 0;
+  uint64_t parent_folds = 0;
 
   for (uint64_t depth_sum = 0; !level.empty(); ++depth_sum) {
     obs::ScopedSpan span("incognito.level");
@@ -172,15 +187,57 @@ Result<GlobalRecoding> IncognitoSearch(
       }
     }
 
-    // Phase B: fold the candidates, fanned out over the pool when one is
-    // given; each writes only its own verdict slot. The anonymous ones,
-    // in first-encounter order, are the next level.
+    // Phase B1: cover the candidates by parents, serially. Every direct
+    // generalization of a candidate is a k-anonymous level node, so any of
+    // them can decide it by refining its own cells. Greedy: take the level
+    // node with the most uncovered candidates, the earliest in level order
+    // on ties. Coverage only shrinks, so a heap of possibly stale counts
+    // finds it: an entry whose count is still current is the maximum.
+    struct Parent {
+      size_t node;
+      uint64_t children;  // attribute mask of the candidates it decides
+    };
+    std::vector<Parent> parents;
+    {
+      using Entry = std::pair<int, size_t>;  // (count, -level position)
+      std::priority_queue<Entry> heap;
+      for (size_t pos = 0; pos < level.size(); ++pos) {
+        const int count = __builtin_popcountll(pending_children(level[pos]));
+        if (count > 0) heap.emplace(count, SIZE_MAX - pos);
+      }
+      while (!heap.empty()) {
+        const auto [count, key] = heap.top();
+        heap.pop();
+        const size_t node = level[SIZE_MAX - key];
+        const uint64_t mask = pending_children(node);
+        const int current = __builtin_popcountll(mask);
+        if (current < count) {
+          if (current > 0) heap.emplace(current, key);
+          continue;
+        }
+        for (size_t i = 0; i < d; ++i) {
+          if (mask >> i & 1) verdict[node + stride[i]] = kAssigned;
+        }
+        parents.push_back({node, mask});
+      }
+    }
+
+    // Phase B2: one fold per parent decides its candidates, fanned out
+    // over the pool when one is given; each candidate has one parent, so
+    // each fold writes only its own verdict slots. The anonymous
+    // candidates, in first-encounter order, are the next level.
     RETURN_IF_ERROR(ParallelFor(
-        options.pool, IndexRange(0, candidates.size()), /*grain=*/1,
+        options.pool, IndexRange(0, parents.size()), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            verdict[candidates[i]] =
-                check_anonymous(candidates[i]) ? kAnonymous : kNotAnonymous;
+          for (size_t p = begin; p < end; ++p) {
+            const Parent& parent = parents[p];
+            const uint64_t anonymous = counter.AnonymousChildren(
+                depths_of(parent.node), parent.children, options.k);
+            for (size_t i = 0; i < d; ++i) {
+              if ((parent.children >> i & 1) == 0) continue;
+              verdict[parent.node + stride[i]] =
+                  (anonymous >> i & 1) != 0 ? kAnonymous : kNotAnonymous;
+            }
           }
           return Status::OK();
         }));
@@ -190,7 +247,10 @@ Result<GlobalRecoding> IncognitoSearch(
     }
 
     // Phase C: walk the level; nodes with no anonymous child are minimal.
-    std::vector<size_t> minimal;
+    // Each is scored from the per-(attr, depth) NCP sums and the best is
+    // picked in level order with a strict `<`, so the first of equal NCPs
+    // wins.
+    uint64_t minimal = 0;
     for (size_t node : level) {
       ++nodes_examined;
       bool has_anonymous_child = false;
@@ -203,37 +263,25 @@ Result<GlobalRecoding> IncognitoSearch(
           ++children_pruned;
         }
       }
-      if (!has_anonymous_child) minimal.push_back(node);
-    }
-
-    // Score the minimal nodes in parallel into per-node slots, then pick
-    // serially in level order with a strict `<`, so the first of equal
-    // NCPs wins at every thread count.
-    std::vector<double> ncp(minimal.size());
-    RETURN_IF_ERROR(ParallelFor(
-        options.pool, IndexRange(0, minimal.size()), /*grain=*/1,
-        [&](size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            ncp[i] = GlobalNcp(table, RecodingAtDepths(qi_attrs, taxonomies,
-                                                       depths_of(minimal[i])));
-          }
-          return Status::OK();
-        }));
-    for (size_t i = 0; i < minimal.size(); ++i) {
-      if (best_node == kNoNode || ncp[i] < best_ncp) {
-        best_ncp = ncp[i];
-        best_node = minimal[i];
+      if (has_anonymous_child) continue;
+      ++minimal;
+      const double ncp = counter.NcpAtDepths(depths_of(node));
+      if (best_node == kNoNode || ncp < best_ncp) {
+        best_ncp = ncp;
+        best_node = node;
       }
     }
 
     anonymity_checks += candidates.size();
     checks_implied += implied;
-    minimal_nodes += minimal.size();
+    minimal_nodes += minimal;
+    parent_folds += parents.size();
     span.Attr("level", depth_sum)
         .Attr("candidates", static_cast<uint64_t>(candidates.size()) + implied)
         .Attr("checked", static_cast<uint64_t>(candidates.size()))
+        .Attr("parents", static_cast<uint64_t>(parents.size()))
         .Attr("implied", implied)
-        .Attr("minimal", static_cast<uint64_t>(minimal.size()));
+        .Attr("minimal", minimal);
     level = std::move(next_level);
   }
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
@@ -242,12 +290,14 @@ Result<GlobalRecoding> IncognitoSearch(
   metrics.GetCounter("incognito.minimal_nodes")->Add(minimal_nodes);
   metrics.GetCounter("incognito.anonymity_checks")->Add(anonymity_checks);
   metrics.GetCounter("incognito.checks_implied")->Add(checks_implied);
+  metrics.GetCounter("incognito.parent_folds")->Add(parent_folds);
   PGPUB_LOG_DEBUG("incognito.done")
       .Field("nodes_examined", nodes_examined)
       .Field("children_pruned", children_pruned)
       .Field("minimal_nodes", minimal_nodes)
       .Field("anonymity_checks", anonymity_checks)
       .Field("checks_implied", checks_implied)
+      .Field("parent_folds", parent_folds)
       .Field("best_ncp", best_ncp);
   if (best_node == kNoNode) {
     return Status::Internal(

@@ -15,18 +15,18 @@ namespace pgpub {
 /// Options for full-domain generalization search.
 struct IncognitoOptions {
   int k = 2;
-  /// Optional worker pool for the per-level k-anonymity checks and NCP
-  /// scoring of minimal nodes (nullptr = serial). Levels are swept in the
-  /// same BFS order either way, so the chosen node is bit-identical at
-  /// every thread count.
+  /// Optional worker pool for the per-level parent folds (nullptr =
+  /// serial). Which parent decides which child is chosen serially and
+  /// levels are swept in the same BFS order either way, so the chosen node
+  /// is bit-identical at every thread count.
   ThreadPool* pool = nullptr;
 
   /// Optional prebuilt QI index over (table, qi_attrs). Null = build one
-  /// per search. Every lattice node's k-anonymity check folds this base
-  /// frequency set (distinct raw QI tuples + counts) through per-(attr,
-  /// depth) code remaps into a radix group counter (DESIGN.md §15)
-  /// instead of rescanning rows. Only perfbench sets it; slated for
-  /// removal with the next benchmark change (ROADMAP).
+  /// per search. Each parent fold labels this base frequency set
+  /// (distinct raw QI tuples + counts) with the parent's cells through
+  /// per-(attr, depth) code remaps, and each child refines those cells
+  /// (DESIGN.md §15), instead of rescanning rows. Only perfbench sets it;
+  /// slated for removal with the next benchmark change (ROADMAP).
   const columnar::QiIndex* qi_index = nullptr;
 };
 
@@ -40,9 +40,12 @@ struct IncognitoOptions {
 /// checked when all its direct generalizations are k-anonymous — and
 /// returns the k-anonymous node with the lowest NCP among the *minimal*
 /// k-anonymous nodes (those none of whose specializations are
-/// k-anonymous). At most 64 QI attributes and
-/// columnar::kMaxLatticeNodes lattice nodes (InvalidArgument beyond; use
-/// TDS for wide schemas).
+/// k-anonymous). Each level's candidates are decided by refining the
+/// cells of a greedily chosen cover of k-anonymous parents, and NCP is
+/// summed from per-(attribute, depth) terms. At most 64 QI attributes
+/// and columnar::kMaxLatticeNodes lattice nodes (InvalidArgument beyond;
+/// use TDS for wide schemas); k < 1 is InvalidArgument, and fewer rows
+/// than k FailedPrecondition.
 ///
 /// Suited to few QI attributes with shallow hierarchies; the paper's SAL
 /// pipeline uses TDS instead (both satisfy G1–G3).

@@ -302,6 +302,10 @@ void TopDownSpecializer::Apply(int attr_idx, int32_t lo,
 
 Result<GlobalRecoding> TopDownSpecializer::Run() {
   PGPUB_FAILPOINT(failpoints::kPublishGeneralizeTds);
+  if (options_.k < 1) {
+    return Status::InvalidArgument("k must be >= 1, got " +
+                                   std::to_string(options_.k));
+  }
   const size_t n = table_.num_rows();
   if (n < static_cast<size_t>(options_.k)) {
     return Status::FailedPrecondition(

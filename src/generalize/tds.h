@@ -75,9 +75,9 @@ class TopDownSpecializer {
                      std::vector<int32_t> class_labels, int num_classes,
                      TdsOptions options);
 
-  /// Runs the search. Fails with InvalidArgument when the taxonomy count
-  /// differs from the QI count, or a taxonomy is null or does not cover
-  /// its attribute's domain, and with
+  /// Runs the search. Fails with InvalidArgument when k < 1, when the
+  /// taxonomy count differs from the QI count, or a taxonomy is null or
+  /// does not cover its attribute's domain, and with
   /// FailedPrecondition when even the fully generalized table violates
   /// k-anonymity (n < k) or the constraint.
   [[nodiscard]] Result<GlobalRecoding> Run();

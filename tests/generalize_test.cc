@@ -194,6 +194,19 @@ TEST(TdsTest, FailsWhenFewerRowsThanK) {
   EXPECT_TRUE(tds.Run().status().IsFailedPrecondition());
 }
 
+TEST(TdsTest, KBelowOneIsInvalidArgument) {
+  // k = 0 must not yield a recoding, and k = -3 must not wrap to a huge
+  // unsigned row count and read as "fewer rows than k".
+  Fixture f = MakeFixture(200, 8);
+  for (int k : {0, -3}) {
+    TdsOptions opt;
+    opt.k = k;
+    TopDownSpecializer tds(f.table, f.qi, {&f.tax_a, &f.tax_b},
+                           f.table.column(f.sens), 5, opt);
+    EXPECT_TRUE(tds.Run().status().IsInvalidArgument()) << "k=" << k;
+  }
+}
+
 TEST(TdsTest, DeterministicAcrossRuns) {
   Fixture f = MakeFixture(500, 11);
   TdsOptions opt;
@@ -372,6 +385,18 @@ TEST(IncognitoTest, FewerRowsThanKFails) {
   EXPECT_TRUE(IncognitoSearch(f.table, f.qi, {&f.tax_a, &f.tax_b}, opt)
                   .status()
                   .IsFailedPrecondition());
+}
+
+TEST(IncognitoTest, KBelowOneIsInvalidArgument) {
+  Fixture f = MakeFixture(200, 35);
+  for (int k : {0, -3}) {
+    IncognitoOptions opt;
+    opt.k = k;
+    EXPECT_TRUE(IncognitoSearch(f.table, f.qi, {&f.tax_a, &f.tax_b}, opt)
+                    .status()
+                    .IsInvalidArgument())
+        << "k=" << k;
+  }
 }
 
 TEST(IncognitoTest, NeverWorseNcpThanFullSuppression) {

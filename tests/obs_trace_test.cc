@@ -328,11 +328,14 @@ TEST_F(GlobalTracerTest, PublishSpanSetIsThreadCountInvariant) {
               SpanAttrs(eight_spans, round_span));
     for (const auto& attrs : SpanAttrs(serial_spans, "incognito.level")) {
       for (const char* key :
-           {"level", "candidates", "checked", "implied", "minimal"}) {
-        EXPECT_EQ(attrs.count(key), 1u) << key;
+           {"level", "candidates", "checked", "parents", "implied",
+            "minimal"}) {
+        ASSERT_EQ(attrs.count(key), 1u) << key;
       }
       EXPECT_EQ(attrs.at("checked") + attrs.at("implied"),
                 attrs.at("candidates"));
+      // Each parent fold decides at least one checked child.
+      EXPECT_LE(attrs.at("parents"), attrs.at("checked"));
     }
     // TDS scores a (group, attribute) pair from its rows once, the first
     // round a dirty candidate visits it, and folds the cached term in

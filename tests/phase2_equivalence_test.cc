@@ -3,9 +3,9 @@
 /// dataset × generalizer the published table, the timing-normalized
 /// PublishReport JSON, and the Phase-2 search counters are byte-identical
 /// serial and on 8 threads. Seeded property tests additionally pin
-/// Incognito's LatticeCounter to the naive ComputeQiGroups verdict on
-/// random tables and its pruned lattice walk to an unpruned reference
-/// walk, and a pool test pins scratch reuse across searches.
+/// Incognito's LatticeCounter to the naive ComputeQiGroups verdict and
+/// the row-wise GlobalNcp on random tables, and its pruned lattice walk
+/// to an unpruned reference walk.
 
 #include <gtest/gtest.h>
 
@@ -250,12 +250,39 @@ RandomLattice MakeRandomLattice(Rng& rng) {
                        std::move(qi_attrs)};
 }
 
+/// The naive row-wise verdict the counter replaces.
+bool NaiveAnonymous(const Table& table, const std::vector<int>& qi_attrs,
+                    const std::vector<const Taxonomy*>& taxonomies,
+                    const std::vector<int>& depths, int k) {
+  return IsKAnonymous(
+      ComputeQiGroups(table, RecodingAtDepths(qi_attrs, taxonomies, depths)),
+      k);
+}
+
+/// Asks the counter about every child of `parent` and compares each
+/// verdict with the naive one.
+void ExpectChildrenMatchNaive(const columnar::LatticeCounter& counter,
+                              const Table& table,
+                              const std::vector<int>& qi_attrs,
+                              const std::vector<const Taxonomy*>& taxonomies,
+                              const std::vector<int>& parent, int k) {
+  const uint64_t all = (uint64_t{1} << parent.size()) - 1;
+  const uint64_t anonymous = counter.AnonymousChildren(parent, all, k);
+  for (size_t j = 0; j < parent.size(); ++j) {
+    std::vector<int> child = parent;
+    ++child[j];
+    EXPECT_EQ(NaiveAnonymous(table, qi_attrs, taxonomies, child, k),
+              (anonymous >> j & 1) != 0)
+        << "child attr " << j << " k=" << k;
+  }
+}
+
 TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnRandomTables) {
-  // ~200 random (table, depths, k) triples, including empty tables and
-  // depths beyond the taxonomy height (both sides clamp identically).
-  // The naive side is the exact row-wise oracle the counter replaces.
-  // Every probe folds on this one thread, so its thread-local scratch is
-  // reused across counters of different cell counts.
+  // ~200 random (table, parent, children, k) probes, including empty
+  // tables and depths beyond the taxonomy height (both sides clamp
+  // identically). The naive side is the exact row-wise oracle the counter
+  // replaces. Every probe folds on this one thread, so its thread-local
+  // scratch is reused across counters of different cell counts.
   Rng rng(4242);
   for (int trial = 0; trial < 200; ++trial) {
     const RandomLattice lat = MakeRandomLattice(rng);
@@ -266,27 +293,34 @@ TEST(Phase2EquivalenceTest, LatticeCounterMatchesNaiveOnRandomTables) {
     const columnar::LatticeCounter counter(&index, tax_ptrs);
 
     for (int probe = 0; probe < 4; ++probe) {
-      std::vector<int> depths;
+      std::vector<int> parent;
       for (size_t a = 0; a < lat.qi_attrs.size(); ++a) {
-        depths.push_back(rng.UniformInt(0, tax_ptrs[a]->height() + 2));
+        parent.push_back(rng.UniformInt(0, tax_ptrs[a]->height() + 1));
       }
+      const uint64_t asked =
+          rng.UniformInt(1, (1 << lat.qi_attrs.size()) - 1);
       const int k = rng.UniformInt(1, 6);
-      const bool naive = IsKAnonymous(
-          ComputeQiGroups(lat.table,
-                          RecodingAtDepths(lat.qi_attrs, tax_ptrs, depths)),
-          k);
-      const bool columnar_verdict = counter.IsKAnonymousAtDepths(depths, k);
-      ASSERT_EQ(naive, columnar_verdict)
-          << "trial " << trial << " probe " << probe << " k=" << k
-          << " rows=" << lat.table.num_rows();
+      const uint64_t anonymous = counter.AnonymousChildren(parent, asked, k);
+      EXPECT_EQ(anonymous & ~asked, 0u) << "answered an unasked child";
+      for (size_t j = 0; j < parent.size(); ++j) {
+        if ((asked >> j & 1) == 0) continue;
+        std::vector<int> child = parent;
+        ++child[j];
+        ASSERT_EQ(NaiveAnonymous(lat.table, lat.qi_attrs, tax_ptrs, child, k),
+                  (anonymous >> j & 1) != 0)
+            << "trial " << trial << " probe " << probe << " attr " << j
+            << " k=" << k << " rows=" << lat.table.num_rows();
+      }
     }
   }
 }
 
 TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
-  // 4 flat attributes of domain 40 at depth 0 give 40^4 = 2.56M cells —
-  // above kDenseCellBudget (2^21), forcing the hash-map fallback. The
-  // verdict must be the same exact count either way.
+  // 4 binary-taxonomy attributes of domain 40 over 20,000 rows. At the
+  // deepest parents the fold's last step keys ~17k cells by ~40 ranks and
+  // each child pass keys as many, past the flat table's 4-byte slots in
+  // kDenseTableBytes, so both go to the hash-map fallback. The verdicts
+  // must be the same exact counts either way.
   Rng rng(77);
   Schema schema;
   std::vector<AttributeDomain> domains;
@@ -298,35 +332,83 @@ TEST(Phase2EquivalenceTest, LatticeCounterSparseFallbackMatchesNaive) {
                          AttributeRole::kQuasiIdentifier});
     domains.push_back(AttributeDomain::Numeric(0, 39));
     taxonomies.push_back(Taxonomy::Binary(40, "*"));
-    for (int r = 0; r < 400; ++r) {
+    for (int r = 0; r < 20000; ++r) {
       columns[a].push_back(rng.UniformInt(0, 39));
     }
   }
-  ASSERT_GT(uint64_t{40} * 40 * 40 * 40, columnar::kDenseCellBudget);
   Table table =
       Table::Create(schema, domains, std::move(columns)).ValueOrDie();
   std::vector<const Taxonomy*> tax_ptrs;
   for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
+  const int h = tax_ptrs[0]->height();
+  ASSERT_EQ(RecodingAtDepths(qi_attrs, tax_ptrs, {h, h, h, h})
+                .per_attr[0]
+                .num_gen_values(),
+            40);
+  const size_t deep_cells =
+      ComputeQiGroups(table, RecodingAtDepths(qi_attrs, tax_ptrs,
+                                              {h, h, h, h - 1}))
+          .num_groups();
+  ASSERT_GT(uint64_t{deep_cells} * 40 * 4, columnar::kDenseTableBytes);
   const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
   const columnar::LatticeCounter counter(&index, tax_ptrs);
-  for (std::vector<int> depths :
+  for (const std::vector<int>& parent :
        {std::vector<int>{0, 0, 0, 0}, std::vector<int>{1, 0, 0, 0},
-        std::vector<int>{2, 1, 0, 3}}) {
+        std::vector<int>{2, 1, 0, 3}, std::vector<int>{h, h, h, h - 1},
+        std::vector<int>{h, h - 1, h, h - 1}}) {
     for (int k : {1, 2, 5}) {
-      const bool naive = IsKAnonymous(
-          ComputeQiGroups(table, RecodingAtDepths(qi_attrs, tax_ptrs, depths)),
-          k);
-      EXPECT_EQ(naive, counter.IsKAnonymousAtDepths(depths, k))
-          << "k=" << k;
+      ExpectChildrenMatchNaive(counter, table, qi_attrs, tax_ptrs, parent, k);
     }
+  }
+}
+
+TEST(Phase2EquivalenceTest, LatticeCounterCrossesTheTableBudgetExactly) {
+  // One flat attribute of domain 2,000 refines a parent of 300 cells: the
+  // child pass keys 300 × 2,000 = 600k cells, past the flat table's
+  // 4-byte slots in kDenseTableBytes. At k equal to the child's smallest
+  // group the node is anonymous and at one more it is not, so the
+  // hash-map path must count every row.
+  Rng rng(2718);
+  Schema schema;
+  std::vector<AttributeDomain> domains;
+  std::vector<Taxonomy> taxonomies;
+  std::vector<int> qi_attrs = {0, 1};
+  std::vector<std::vector<int32_t>> columns(2);
+  for (int32_t width : {300, 2000}) {
+    const int a = static_cast<int>(domains.size());
+    schema.AddAttribute({"q" + std::to_string(a), AttributeType::kNumeric,
+                         AttributeRole::kQuasiIdentifier});
+    domains.push_back(AttributeDomain::Numeric(0, width - 1));
+    taxonomies.push_back(Taxonomy::Flat(width, "*"));
+  }
+  for (int r = 0; r < 60000; ++r) {
+    columns[0].push_back(r % 300);
+    columns[1].push_back(rng.UniformInt(0, 9));
+  }
+  Table table =
+      Table::Create(schema, domains, std::move(columns)).ValueOrDie();
+  std::vector<const Taxonomy*> tax_ptrs;
+  for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
+  ASSERT_GT(uint64_t{300} * 2000 * 4, columnar::kDenseTableBytes);
+  const auto smallest = static_cast<int64_t>(
+      ComputeQiGroups(table, RecodingAtDepths(qi_attrs, tax_ptrs, {1, 1}))
+          .MinGroupSize());
+  ASSERT_GT(smallest, 1);
+  const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
+  const columnar::LatticeCounter counter(&index, tax_ptrs);
+  for (int64_t k : {int64_t{1}, smallest, smallest + 1}) {
+    EXPECT_EQ(counter.AnonymousChildren({1, 0}, 0b10, static_cast<int>(k)),
+              k <= smallest ? 0b10u : 0u)
+        << "k=" << k;
   }
 }
 
 TEST(Phase2EquivalenceTest, LatticeCounterRefinesWideCellSpacesExactly) {
   // 8 flat attributes of domain 1000 at full depth: a 1000^8 cell key
-  // overflows u64, so the counter labels tuples one attribute at a time.
-  // The oracle groups generalized vectors in an ordered map (the row-wise
-  // ComputeQiGroups cannot key this node at all).
+  // overflows u64, but the fold numbers cells one attribute at a time, so
+  // every key stays below 2^64. The oracle groups generalized vectors in
+  // an ordered map (the row-wise ComputeQiGroups cannot key this node at
+  // all).
   Rng rng(91);
   Schema schema;
   std::vector<AttributeDomain> domains;
@@ -349,9 +431,15 @@ TEST(Phase2EquivalenceTest, LatticeCounterRefinesWideCellSpacesExactly) {
   for (const Taxonomy& t : taxonomies) tax_ptrs.push_back(&t);
   const columnar::QiIndex index = columnar::QiIndex::Build(table, qi_attrs);
   const columnar::LatticeCounter counter(&index, tax_ptrs);
-  for (std::vector<int> depths :
-       {std::vector<int>(8, 1), std::vector<int>{1, 1, 1, 1, 1, 1, 1, 0},
-        std::vector<int>{0, 1, 1, 1, 1, 1, 1, 1}}) {
+  // (parent, the attribute its child specializes): the children are all
+  // ones, and all ones but the last or the first attribute.
+  const std::vector<std::pair<std::vector<int>, size_t>> probes = {
+      {{1, 1, 1, 1, 1, 1, 1, 0}, 7},
+      {{1, 1, 1, 1, 1, 1, 0, 0}, 6},
+      {{0, 0, 1, 1, 1, 1, 1, 1}, 1}};
+  for (const auto& [parent, j] : probes) {
+    std::vector<int> depths = parent;
+    ++depths[j];
     const GlobalRecoding rec = RecodingAtDepths(qi_attrs, tax_ptrs, depths);
     std::map<std::vector<int32_t>, int64_t> groups;
     for (size_t r = 0; r < table.num_rows(); ++r) {
@@ -361,10 +449,37 @@ TEST(Phase2EquivalenceTest, LatticeCounterRefinesWideCellSpacesExactly) {
     for (const auto& [gen, count] : groups) {
       smallest = std::min(smallest, count);
     }
+    const uint64_t bit = uint64_t{1} << j;
     for (int64_t k : {int64_t{1}, smallest, smallest + 1}) {
-      EXPECT_EQ(counter.IsKAnonymousAtDepths(depths, static_cast<int>(k)),
-                k <= smallest)
+      EXPECT_EQ(counter.AnonymousChildren(parent, bit, static_cast<int>(k)),
+                k <= smallest ? bit : 0u)
           << "k=" << k;
+    }
+  }
+}
+
+TEST(Phase2EquivalenceTest, LatticeCounterNcpMatchesGlobalNcp) {
+  // Incognito scores a node from per-(attribute, depth) sums; the row-wise
+  // GlobalNcp of the same recoding is the oracle, equal up to summation
+  // order.
+  Rng rng(1618);
+  for (int trial = 0; trial < 200; ++trial) {
+    const RandomLattice lat = MakeRandomLattice(rng);
+    std::vector<const Taxonomy*> tax_ptrs;
+    for (const Taxonomy& t : lat.taxonomies) tax_ptrs.push_back(&t);
+    const columnar::QiIndex index =
+        columnar::QiIndex::Build(lat.table, lat.qi_attrs);
+    const columnar::LatticeCounter counter(&index, tax_ptrs);
+    for (int probe = 0; probe < 4; ++probe) {
+      std::vector<int> depths;
+      for (size_t a = 0; a < lat.qi_attrs.size(); ++a) {
+        depths.push_back(rng.UniformInt(0, tax_ptrs[a]->height() + 1));
+      }
+      EXPECT_NEAR(counter.NcpAtDepths(depths),
+                  GlobalNcp(lat.table,
+                            RecodingAtDepths(lat.qi_attrs, tax_ptrs, depths)),
+                  1e-12)
+          << "trial " << trial << " probe " << probe;
     }
   }
 }

@@ -3,8 +3,8 @@
 /// histograms) and the cold-publication digest of the paper's main
 /// workload, at smoke scale by default so ctest catches bench regressions
 /// without paying the 700k run. Set PGPUB_SAL_ROWS=700000 to check the
-/// full-scale pins (the generator check stays cheap; the publication adds
-/// a few seconds). The pinned values were produced by bench/sal_full and
+/// full-scale pins (the generator check stays cheap; the two publications
+/// add a few seconds each). The pinned values were produced by bench/sal_full and
 /// must stay equal to what it prints — both sides share
 /// bench/sal_digest.h, so a drift in either the generator or the
 /// publishing pipeline trips these tests.
@@ -26,6 +26,7 @@ struct SalPins {
   uint64_t row_sample_digest = 0;
   uint64_t histogram_digest = 0;
   uint64_t publication_digest = 0;
+  uint64_t incognito_digest = 0;  ///< The same publish with Incognito.
 };
 
 /// Known (num_rows -> fingerprints) at seed 42. 20000 is the smoke scale
@@ -34,9 +35,9 @@ struct SalPins {
 const std::map<size_t, SalPins>& Pins() {
   static const std::map<size_t, SalPins> pins = {
       {20000, {0xbcd6e0db66e8d302ull, 0xf43d6ffb118a9fefull,
-               0x8e94fe3d1738f503ull}},
+               0x8e94fe3d1738f503ull, 0x26a59d8541419a61ull}},
       {700000, {0x363bd306b69fcb47ull, 0xcca1cc8f35bc90eeull,
-                0x393258b8d0101795ull}},
+                0x393258b8d0101795ull, 0x19e9f4cdf9e5f11full}},
   };
   return pins;
 }
@@ -107,10 +108,15 @@ TEST(SalGoldenTest, ColdPublicationDigestPinned) {
 
 TEST(SalGoldenTest, IncognitoPublicationDigestPinned) {
   // The paper's operating point (k = 10, p = 0.3, m = 2) with Incognito
-  // as the generalizer on the 20k prefix. The thread count comes from the
-  // environment (PGPUB_THREADS), so each leg of the CI thread matrix holds
-  // its own release to this one digest.
-  CensusDataset sal = GenerateAt(20000);
+  // as the generalizer, on the 20k prefix by default. The thread count
+  // comes from the environment (PGPUB_THREADS), so each leg of the CI
+  // thread matrix holds its own release to this one digest.
+  const size_t rows = PinnedRows();
+  const auto pin = Pins().find(rows);
+  if (pin == Pins().end()) {
+    GTEST_SKIP() << "no pinned digest for PGPUB_SAL_ROWS=" << rows;
+  }
+  CensusDataset sal = GenerateAt(rows);
   PgOptions options = bench::SalColdPublishOptions(/*threads=*/0);
   options.generalizer = PgOptions::Generalizer::kIncognito;
   const PublishedTable release =
@@ -118,7 +124,7 @@ TEST(SalGoldenTest, IncognitoPublicationDigestPinned) {
           .Publish(sal.table, sal.TaxonomyPointers())
           .ValueOrDie();
   EXPECT_EQ(bench::Hex(bench::PublicationDigest(release)),
-            "0x26a59d8541419a61");
+            bench::Hex(pin->second.incognito_digest));
 }
 
 }  // namespace
