@@ -2,7 +2,8 @@
 /// google-benchmark micro-benchmarks of the pipeline stages (DESIGN.md
 /// E9/E10): perturbation throughput, QI grouping, TDS and Incognito
 /// generalization, stratified sampling, end-to-end publication scaling,
-/// attack posterior computation, and the guarantee solvers.
+/// attack posterior computation, the ρ₁-bounded knapsack, and the
+/// guarantee solvers.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 
 #include "attack/linking_attack.h"
 #include "bench/bench_report.h"
+#include "common/math_util.h"
 #include "core/pg_publisher.h"
 #include "datagen/census.h"
 #include "datagen/sal.h"
@@ -218,6 +220,33 @@ void BM_AttackPosterior(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AttackPosterior);
+
+/// The ρ₁-bounded optimum every breach trial folds
+/// (MaxPosteriorGivenPriorBoundExact) at |U^s| = 50, ρ₁ = 0.2, on the
+/// default 1e-4 grid: arg0 = 0 for a λ = 0.1 SkewedTowards prior (two grid
+/// costs), 1 for a λ = 0.1 RandomSkewed prior (up to 50). The posterior
+/// leans on the prior the way a trial's does (h ≈ 0.1).
+void BM_MaxPosteriorExact(benchmark::State& state) {
+  constexpr int32_t kUs = 50;
+  Rng rng(11);
+  const BackgroundKnowledge prior =
+      state.range(0) == 0
+          ? BackgroundKnowledge::SkewedTowards(kUs, 3, 0.1).ValueOrDie()
+          : BackgroundKnowledge::RandomSkewed(kUs, 0.1, rng).ValueOrDie();
+  std::vector<double> noise(kUs);
+  for (double& v : noise) v = rng.UniformDouble();
+  NormalizeInPlace(noise);
+  std::vector<double> posterior(kUs);
+  for (int32_t x = 0; x < kUs; ++x) {
+    posterior[x] = 0.9 * prior.pdf[x] + 0.1 * noise[x];
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        MaxPosteriorGivenPriorBoundExact(posterior, prior, 0.2).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MaxPosteriorExact)->Arg(0)->Arg(1);
 
 void BM_ReconstructionTreeTraining(benchmark::State& state) {
   const size_t n = 100000;

@@ -1,6 +1,7 @@
 #include "attack/adversaries.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,9 +55,8 @@ Status RequireGen(const AttackContext& context) {
 }
 
 /// Folds a trial's posterior into its outcome: the best-predicate growth,
-/// the optimal adversary's posterior confidence under prior <= ρ₁ (exact
-/// knapsack; the greedy heuristic is a lower bound of it), and whether the
-/// posterior collapsed to a point.
+/// the optimal adversary's posterior confidence under prior <= ρ₁ (the
+/// grid knapsack), and whether the posterior collapsed to a point.
 Result<TrialOutcome> FoldOutcome(const std::vector<double>& posterior,
                                  const BackgroundKnowledge& prior, double h,
                                  double rho1) {
@@ -119,7 +119,7 @@ Result<TrialOutcome> PgLinkingTrial(const AttackContext& context, Rng& rng,
 
   // Corrupt candidates sharing the victim's published cell (the most
   // damaging corruption targets), one coin per candidate in ℰ order.
-  const std::vector<uint32_t>& candidates =
+  const std::span<const uint32_t> candidates =
       context.linker->Candidates(victim.crucial_row);
   for (uint32_t i : candidates) {
     if (i == victim.index) continue;

@@ -1,8 +1,11 @@
 #include "attack/linking_attack.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "common/math_util.h"
 #include "common/string_util.h"
@@ -45,42 +48,6 @@ Result<double> MaxGrowth(const std::vector<double>& posterior,
   return growth;
 }
 
-Result<double> MaxPosteriorGivenPriorBound(
-    const std::vector<double>& posterior, const BackgroundKnowledge& prior,
-    double rho1) {
-  RETURN_IF_ERROR(ValidateSameDomain(prior.pdf.size(), posterior.size()));
-  const size_t m = posterior.size();
-  std::vector<size_t> order(m);
-  std::iota(order.begin(), order.end(), 0);
-
-  auto greedy = [&](auto cmp) {
-    std::vector<size_t> o = order;
-    std::sort(o.begin(), o.end(), cmp);
-    double prior_used = 0.0, post = 0.0;
-    for (size_t i : o) {
-      if (prior_used + prior.pdf[i] <= rho1 + 1e-12) {
-        prior_used += prior.pdf[i];
-        post += posterior[i];
-      }
-    }
-    return post;
-  };
-
-  // Order 1: largest posterior first.
-  const double by_post = greedy([&](size_t a, size_t b) {
-    return posterior[a] > posterior[b];
-  });
-  // Order 2: best posterior-per-unit-prior first (zero-prior values are
-  // free and sorted to the front by their posterior).
-  const double by_ratio = greedy([&](size_t a, size_t b) {
-    const bool za = prior.pdf[a] <= 0.0, zb = prior.pdf[b] <= 0.0;
-    if (za != zb) return za;
-    if (za && zb) return posterior[a] > posterior[b];
-    return posterior[a] / prior.pdf[a] > posterior[b] / prior.pdf[b];
-  });
-  return std::max(by_post, by_ratio);
-}
-
 Result<double> MaxPosteriorGivenPriorBoundExact(
     const std::vector<double>& posterior, const BackgroundKnowledge& prior,
     double rho1, double resolution) {
@@ -90,23 +57,66 @@ Result<double> MaxPosteriorGivenPriorBoundExact(
         StrFormat("knapsack grid resolution must be positive, got %g",
                   resolution));
   }
-  const size_t m = posterior.size();
-  // Round each prior down to the grid: any predicate feasible under the
-  // true priors stays feasible under the rounded ones, so the DP optimum
-  // dominates the adversary's true optimum.
-  std::vector<int64_t> cost(m);
-  for (size_t i = 0; i < m; ++i) {
-    cost[i] = static_cast<int64_t>(prior.pdf[i] / resolution);
+  // Grid costs stay below 2^62, so a cost plus the budget never overflows.
+  constexpr double kMaxGridCost = 0x1p62;
+  const double budget_cells = rho1 / resolution;
+  if (!(budget_cells >= 0.0 && budget_cells < kMaxGridCost)) {
+    return Status::InvalidArgument(StrFormat(
+        "rho1 %g is outside [0, 2^62 x resolution %g)", rho1, resolution));
   }
-  const int64_t budget = static_cast<int64_t>(rho1 / resolution);
-  std::vector<double> best(budget + 1, 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    if (cost[i] > budget) continue;
-    for (int64_t b = budget; b >= cost[i]; --b) {
-      best[b] = std::max(best[b], best[b - cost[i]] + posterior[i]);
+  const int64_t budget = static_cast<int64_t>(budget_cells);
+
+  // The frontier: (cost, best value) pairs, ascending in cost and strictly
+  // ascending in value. Pair (c, v) says some predicate of grid cost <= c
+  // reaches v, and none of grid cost < c does.
+  using Pair = std::pair<int64_t, double>;
+  std::vector<Pair> frontier = {{0, 0.0}};
+  std::vector<Pair> merged;
+  for (size_t i = 0; i < posterior.size(); ++i) {
+    const double mass = prior.pdf[i];
+    if (!(mass >= 0.0) || std::isnan(posterior[i])) {
+      return Status::InvalidArgument(
+          StrFormat("value %zu has prior mass %g and posterior %g", i, mass,
+                    posterior[i]));
     }
+    // Round each prior down to the grid: any predicate feasible under the
+    // true priors stays feasible under the rounded ones, so the optimum
+    // dominates the adversary's true optimum.
+    const double cost_cells = mass / resolution;
+    if (cost_cells >= kMaxGridCost) continue;
+    const int64_t cost = static_cast<int64_t>(cost_cells);
+    if (cost > budget) continue;
+    const double gain = posterior[i];
+    // Merge the frontier with its copy shifted by (cost, +gain), cut at
+    // the budget; a pair survives only if it beats every cheaper one.
+    merged.clear();
+    size_t kept = 0, shifted = 0;
+    double best = -std::numeric_limits<double>::infinity();
+    const size_t n = frontier.size();
+    for (;;) {
+      const bool shift_fits =
+          shifted < n && frontier[shifted].first + cost <= budget;
+      if (!shift_fits && kept == n) break;
+      Pair next;
+      if (!shift_fits ||
+          (kept < n && frontier[kept].first < frontier[shifted].first + cost)) {
+        next = frontier[kept++];
+      } else {
+        next = {frontier[shifted].first + cost,
+                frontier[shifted].second + gain};
+        ++shifted;
+        if (kept < n && frontier[kept].first == next.first) {
+          next.second = std::max(frontier[kept++].second, next.second);
+        }
+      }
+      if (next.second > best) {
+        best = next.second;
+        merged.push_back(next);
+      }
+    }
+    frontier.swap(merged);
   }
-  return best[budget];
+  return frontier.back().second;
 }
 
 Result<LinkingAttack> LinkingAttack::Create(const PublishedTable* published,
@@ -117,18 +127,76 @@ Result<LinkingAttack> LinkingAttack::Create(const PublishedTable* published,
   if (edb == nullptr) {
     return Status::InvalidArgument("external database must not be null");
   }
-  if (edb->qi_attrs() != published->recoding().qi_attrs) {
+  const GlobalRecoding& recoding = published->recoding();
+  if (edb->qi_attrs() != recoding.qi_attrs) {
     return Status::InvalidArgument(
         "external database QI attributes must match the release's");
   }
+  // Every key below is a mixed-radix number under NumCells(), so one check
+  // here replaces a per-attribute overflow test per individual.
+  if (recoding.NumCells() == UINT64_MAX) {
+    return Status::InvalidArgument(
+        "the release's QI signature space overflows uint64; its cells "
+        "cannot be keyed");
+  }
+  const size_t rows = published->num_rows();
+  if (edb->size() > UINT32_MAX || rows >= kNoRow) {
+    return Status::InvalidArgument(StrFormat(
+        "%zu individuals or %zu published rows exceed the 32-bit index",
+        edb->size(), rows));
+  }
+  // A key is Σ_a gen_a × stride_a, stride_a the product of the later
+  // attributes' radices: the mixed-radix number SignatureOfCodes builds,
+  // read off one table per attribute (code -> gen × stride). No term or
+  // partial sum reaches NumCells(), so none overflows.
+  const size_t d = recoding.qi_attrs.size();
+  std::vector<std::vector<uint64_t>> term(d);
+  uint64_t stride = 1;
+  for (size_t a = d; a-- > 0;) {
+    const AttributeRecoding& rec = recoding.per_attr[a];
+    term[a].resize(rec.domain_size());
+    for (int32_t code = 0; code < rec.domain_size(); ++code) {
+      term[a][code] = static_cast<uint64_t>(rec.GenOf(code)) * stride;
+    }
+    stride *= static_cast<uint64_t>(rec.num_gen_values());
+  }
+
   LinkingAttack attack(published, edb);
-  attack.crucial_of_individual_.assign(edb->size(), -1);
-  attack.candidates_of_row_.assign(published->num_rows(), {});
+  attack.crucial_of_individual_.resize(edb->size());
+  attack.offsets_.assign(rows + 1, 0);
+  attack.members_.reserve(edb->size());
+  // Pass 1: key each individual, find its crucial row, count candidates
+  // per row, and collect the victim pool.
   for (size_t i = 0; i < edb->size(); ++i) {
-    auto row = published->CrucialTuple(edb->individual(i).qi_codes);
-    if (row.ok()) {
-      attack.crucial_of_individual_[i] = static_cast<int64_t>(*row);
-      attack.candidates_of_row_[*row].push_back(static_cast<uint32_t>(i));
+    // ℰ holds one code per QI attribute (ExternalDatabase::Add checks).
+    const Individual& individual = edb->individual(i);
+    uint64_t key = 0;
+    for (size_t a = 0; a < d; ++a) {
+      const uint32_t code = static_cast<uint32_t>(individual.qi_codes[a]);
+      if (code >= term[a].size()) {
+        return Status::InvalidArgument(StrFormat(
+            "ℰ individual %zu: QI code %d outside the domain [0,%zu)", i,
+            individual.qi_codes[a], term[a].size()));
+      }
+      key += term[a][code];
+    }
+    const std::optional<size_t> row = published->RowOfSignature(key);
+    attack.crucial_of_individual_[i] =
+        row.has_value() ? static_cast<uint32_t>(*row) : kNoRow;
+    if (row.has_value()) ++attack.offsets_[*row + 1];
+    if (!individual.extraneous()) attack.members_.push_back(i);
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    attack.offsets_[r + 1] += attack.offsets_[r];
+  }
+  // Pass 2: fill the candidate lists in ascending ℰ order.
+  attack.candidates_.resize(attack.offsets_[rows]);
+  std::vector<uint32_t> cursor(attack.offsets_.begin(),
+                               attack.offsets_.end() - 1);
+  for (size_t i = 0; i < edb->size(); ++i) {
+    const uint32_t row = attack.crucial_of_individual_[i];
+    if (row != kNoRow) {
+      attack.candidates_[cursor[row]++] = static_cast<uint32_t>(i);
     }
   }
   return attack;
@@ -140,8 +208,8 @@ Result<size_t> LinkingAttack::CrucialRow(size_t individual) const {
         StrFormat("ℰ individual %zu out of range [0,%zu)", individual,
                   crucial_of_individual_.size()));
   }
-  const int64_t row = crucial_of_individual_[individual];
-  if (row < 0) {
+  const uint32_t row = crucial_of_individual_[individual];
+  if (row == kNoRow) {
     return Status::NotFound(
         StrFormat("no published tuple generalizes ℰ individual %zu",
                   individual));
@@ -187,7 +255,7 @@ Result<AttackResult> LinkingAttack::Attack(size_t victim_index,
   result.g_value = published_->group_size(result.crucial_row);
 
   // ---- Step A2: candidate set 𝒪 (everyone but the victim matching t).
-  const std::vector<uint32_t>& all_candidates =
+  const std::span<const uint32_t> all_candidates =
       Candidates(result.crucial_row);
   std::vector<uint32_t> others;
   others.reserve(all_candidates.size());

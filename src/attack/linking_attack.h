@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "attack/adversary.h"
@@ -38,20 +39,34 @@ struct AttackResult {
 [[nodiscard]] Result<double> MaxGrowth(const std::vector<double>& posterior,
                                        const BackgroundKnowledge& prior);
 
-/// Greedy search for the predicate with the largest posterior confidence
-/// among those with prior confidence <= rho1; returns that posterior
-/// confidence (a lower bound on the adversary's optimum).
-[[nodiscard]] Result<double> MaxPosteriorGivenPriorBound(
-    const std::vector<double>& posterior, const BackgroundKnowledge& prior,
-    double rho1);
-
-/// Exact (up to the prior grid `resolution`) optimum of the same
-/// predicate search via 0/1 knapsack: maximize sum of posterior over Q
-/// subject to sum of prior over Q <= rho1. Priors are rounded *down* to
-/// the grid, so the result upper-bounds the true optimum by at most
-/// |U^s| * resolution worth of prior slack — suitable for verifying
-/// that even an optimal adversary stays below the Theorem 2 bound.
-/// Fails on a domain mismatch or a non-positive `resolution`.
+/// Optimum, up to the prior grid `resolution`, of the predicate search:
+/// the largest posterior confidence of a Q whose prior confidence is
+/// <= rho1, as a 0/1 knapsack. Each prior is rounded *down* to the grid
+/// (cost ⌊prior/resolution⌋, budget ⌊rho1/resolution⌋), so any predicate
+/// feasible under the true priors stays feasible and the result
+/// upper-bounds the true optimum by at most |U^s| * resolution worth of
+/// prior slack — suitable for verifying that even an optimal adversary
+/// stays below the Theorem 2 bound.
+///
+/// Solved over a Pareto frontier, not a dense array over the budget: a
+/// list of (cost, best value) pairs ascending in cost and strictly
+/// ascending in value, starting at (0, 0). Value i merges the list with a
+/// copy shifted by (cost_i, +posterior[i]), keeps the pairs within
+/// budget and drops dominated ones; the answer is the last value. Each
+/// value is computed as `v + posterior[i]`, the addition the dense DP
+/// `best[b] = max(best[b], best[b - cost_i] + posterior[i])` makes, and
+/// rounded addition is monotone, so both return the maximum over feasible
+/// subsets of their posteriors summed in index order: the grid DP's
+/// double, bit for bit (attack_test pins this against a copy of the DP).
+///
+/// Cost: O(|U^s| × frontier length), and the frontier holds at most one
+/// pair per reachable cost — |U^s| + 1 for a Uniform or an Excluding
+/// prior, 2|U^s| for SkewedTowards (at most two masses, one of them held
+/// by one value or free), and never more than the dense array's
+/// ⌊rho1/resolution⌋ + 1 for a general prior such as RandomSkewed.
+/// Fails on a domain mismatch, a non-positive `resolution`, a negative or
+/// NaN prior mass, a NaN posterior, or a rho1 outside
+/// [0, 2^62 × resolution).
 [[nodiscard]] Result<double> MaxPosteriorGivenPriorBoundExact(
     const std::vector<double>& posterior, const BackgroundKnowledge& prior,
     double rho1, double resolution = 1e-4);
@@ -61,10 +76,13 @@ struct AttackResult {
 /// Section VI (Equations 8–19).
 class LinkingAttack {
  public:
-  /// Validating factory. Both referents must be non-null, must outlive the
-  /// attacker, and the external database's QI attributes must match the
-  /// release's — a mismatched ℰ would silently make every attack vacuous,
-  /// so it is rejected up front.
+  /// Validating factory: indexes ℰ against the release in one pass. Both
+  /// referents must be non-null and must outlive the attacker. Fails when
+  /// the external database's QI attributes do not match the release's (a
+  /// mismatched ℰ would silently make every attack vacuous), when the
+  /// release's QI signature space overflows uint64 (its cells cannot be
+  /// keyed), or when an individual's QI codes do not fit the release's
+  /// domains.
   [[nodiscard]] static Result<LinkingAttack> Create(
       const PublishedTable* published, const ExternalDatabase* edb);
 
@@ -82,23 +100,34 @@ class LinkingAttack {
   /// Step A2 over published row `row` (< published->num_rows()): every ℰ
   /// individual whose QI vector generalizes to it, in ascending ℰ order.
   /// For a victim's crucial row the victim is among them and the rest
-  /// are 𝒪.
-  const std::vector<uint32_t>& Candidates(size_t row) const {
-    return candidates_of_row_[row];
+  /// are 𝒪. The view lives as long as the attacker.
+  std::span<const uint32_t> Candidates(size_t row) const {
+    return std::span<const uint32_t>(candidates_)
+        .subspan(offsets_[row], offsets_[row + 1] - offsets_[row]);
   }
 
+  /// The non-extraneous ℰ individuals (the microdata members, i.e. the
+  /// victim pool), ascending.
+  const std::vector<size_t>& Members() const { return members_; }
+
  private:
+  /// Crucial-row entry of an individual no published tuple generalizes.
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
   LinkingAttack(const PublishedTable* published, const ExternalDatabase* edb)
       : published_(published), edb_(edb) {}
 
   const PublishedTable* published_;
   const ExternalDatabase* edb_;
-  // Filled by Create's single scan of ℰ; every crucial-row and
-  // candidate-set lookup in the attack layer reads these two.
-  /// Crucial-row id per ℰ individual (-1 = no match).
-  std::vector<int64_t> crucial_of_individual_;
-  /// ℰ individuals per published row (candidate lists).
-  std::vector<std::vector<uint32_t>> candidates_of_row_;
+  // Filled by Create's pass over ℰ; every crucial-row, candidate-set and
+  // victim-pool lookup in the attack layer reads these.
+  /// Crucial row per ℰ individual (kNoRow = no match).
+  std::vector<uint32_t> crucial_of_individual_;
+  /// Candidate lists, CSR: row r's individuals are
+  /// candidates_[offsets_[r], offsets_[r + 1]), ascending.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> candidates_;
+  std::vector<size_t> members_;
 };
 
 /// \brief Baseline: the same linking attack against a *conventional*

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace pgpub {
 
@@ -78,7 +79,6 @@ Result<BreachStats> BreachScenario::RunOnRelease(
   // Release-shape plumbing. Owned state must outlive the trial fan-out.
   std::optional<ExternalDatabase> owned_edb;
   std::optional<LinkingAttack> linker;
-  std::vector<size_t> members;
   if (release.IsPg()) {
     context.sensitive_attr = release.pg->sensitive_attr();
     context.us =
@@ -91,19 +91,20 @@ Result<BreachStats> BreachScenario::RunOnRelease(
       edb = &*owned_edb;
     }
     context.edb = edb;
-    ASSIGN_OR_RETURN(LinkingAttack attacker,
-                     LinkingAttack::Create(&*release.pg, edb));
-    linker.emplace(std::move(attacker));
-    context.linker = &*linker;
-    members.reserve(edb->size());
-    for (size_t i = 0; i < edb->size(); ++i) {
-      if (!edb->individual(i).extraneous()) members.push_back(i);
+    {
+      obs::ScopedSpan span("attack.linking_index");
+      span.Attr("individuals", static_cast<uint64_t>(edb->size()))
+          .Attr("rows", static_cast<uint64_t>(release.pg->num_rows()));
+      ASSIGN_OR_RETURN(LinkingAttack attacker,
+                       LinkingAttack::Create(&*release.pg, edb));
+      linker.emplace(std::move(attacker));
     }
-    if (members.empty()) {
+    context.linker = &*linker;
+    if (linker->Members().empty()) {
       return Status::FailedPrecondition(
           "external database contains no microdata members to attack");
     }
-    context.members = &members;
+    context.members = &linker->Members();
   } else {
     if (dataset.microdata->num_rows() == 0) {
       return Status::InvalidArgument("microdata table is empty");
@@ -133,25 +134,29 @@ Result<BreachStats> BreachScenario::RunOnRelease(
   // reproduces the exact accumulation order (and float sums) of a serial
   // run.
   std::vector<TrialOutcome> outcomes(options.harness.num_victims);
-  auto run_trial = [&](size_t v) -> Status {
-    Rng rng = Rng::ForStream(options.harness.seed, v);
-    ASSIGN_OR_RETURN(outcomes[v], adversary.RunTrial(context, v, rng));
-    return Status::OK();
-  };
-  if (ThreadPool::InParallelRegion()) {
-    // Already inside a ParallelFor chunk (a matrix driver fanning out over
-    // cells): nesting is rejected by contract, and the serial loop is
-    // outcome-identical by the stream-per-trial + ordered-fold design.
-    for (size_t v = 0; v < outcomes.size(); ++v) {
-      RETURN_IF_ERROR(run_trial(v));
+  {
+    obs::ScopedSpan span("attack.trials");
+    span.Attr("trials", static_cast<uint64_t>(outcomes.size()));
+    auto run_trial = [&](size_t v) -> Status {
+      Rng rng = Rng::ForStream(options.harness.seed, v);
+      ASSIGN_OR_RETURN(outcomes[v], adversary.RunTrial(context, v, rng));
+      return Status::OK();
+    };
+    if (ThreadPool::InParallelRegion()) {
+      // Already inside a ParallelFor chunk (a matrix driver fanning out over
+      // cells): nesting is rejected by contract, and the serial loop is
+      // outcome-identical by the stream-per-trial + ordered-fold design.
+      for (size_t v = 0; v < outcomes.size(); ++v) {
+        RETURN_IF_ERROR(run_trial(v));
+      }
+    } else {
+      RETURN_IF_ERROR(ParallelFor(
+          options.harness.pool, IndexRange(0, outcomes.size()), /*grain=*/1,
+          [&](size_t begin, size_t end) -> Status {
+            for (size_t v = begin; v < end; ++v) RETURN_IF_ERROR(run_trial(v));
+            return Status::OK();
+          }));
     }
-  } else {
-    RETURN_IF_ERROR(ParallelFor(
-        options.harness.pool, IndexRange(0, outcomes.size()), /*grain=*/1,
-        [&](size_t begin, size_t end) -> Status {
-          for (size_t v = begin; v < end; ++v) RETURN_IF_ERROR(run_trial(v));
-          return Status::OK();
-        }));
   }
 
   // Serial trial-order fold — the accumulation a serial loop would have

@@ -51,13 +51,13 @@ Result<size_t> PublishedTable::CrucialTuple(
   if (victim_qi_codes.size() != recoding_.qi_attrs.size()) {
     return Status::InvalidArgument("victim QI width mismatch");
   }
-  const uint64_t key = recoding_.SignatureOfCodes(victim_qi_codes);
-  auto it = signature_index_.find(key);
-  if (it == signature_index_.end()) {
+  const std::optional<size_t> row =
+      RowOfSignature(recoding_.SignatureOfCodes(victim_qi_codes));
+  if (!row.has_value()) {
     return Status::NotFound(
         "no published tuple generalizes the given QI-vector");
   }
-  return it->second;
+  return *row;
 }
 
 Status PublishedTable::ToCsv(

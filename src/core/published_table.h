@@ -72,6 +72,15 @@ class PublishedTable {
   [[nodiscard]] Result<size_t> CrucialTuple(const std::vector<int32_t>& victim_qi_codes)
       const;
 
+  /// The published row whose generalized QI-vector has mixed-radix key
+  /// `signature` (GlobalRecoding::SignatureOfCodes of any QI-vector it
+  /// generalizes), or nullopt when no published tuple has that key.
+  std::optional<size_t> RowOfSignature(uint64_t signature) const {
+    const auto it = signature_index_.find(signature);
+    if (it == signature_index_.end()) return std::nullopt;
+    return it->second;
+  }
+
   /// Writes the release as CSV: generalized QI columns, the sensitive
   /// column, and G. `taxonomies` may be empty or hold one (possibly null)
   /// pointer per QI attribute for labeled rendering.
@@ -93,7 +102,7 @@ class PublishedTable {
   std::vector<int32_t> sensitive_;
   std::vector<uint32_t> group_size_;
 
-  /// Generalized-signature -> published row, for CrucialTuple.
+  /// Generalized-signature -> published row, for RowOfSignature.
   std::unordered_map<uint64_t, size_t> signature_index_;
 
   std::optional<Provenance> provenance_;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "attack/linking_attack.h"
@@ -97,8 +100,6 @@ TEST(AttackResultTest, AccessorsRejectDomainMismatch) {
   r.posterior = {0.5, 0.5};
   BackgroundKnowledge prior = BackgroundKnowledge::Uniform(3).ValueOrDie();
   EXPECT_TRUE(MaxGrowth(r.posterior, prior).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      MaxPosteriorGivenPriorBound(r.posterior, prior, 0.5).status().IsInvalidArgument());
   EXPECT_TRUE(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.5)
                   .status()
                   .IsInvalidArgument());
@@ -112,6 +113,61 @@ TEST(AttackResultTest, AccessorsRejectDomainMismatch) {
 TEST(LinkingAttackTest, CreateRejectsNullReferents) {
   EXPECT_TRUE(
       LinkingAttack::Create(nullptr, nullptr).status().IsInvalidArgument());
+}
+
+/// A one-row release over `num_qi` numeric QI attributes of `domain_size`
+/// codes each, recoded by identity, plus a sensitive attribute.
+PublishedTable OneRowIdentityRelease(int num_qi, int32_t domain_size) {
+  Schema schema;
+  std::vector<AttributeDomain> domains;
+  GlobalRecoding recoding;
+  for (int a = 0; a < num_qi; ++a) {
+    schema.AddAttribute({"q" + std::to_string(a), AttributeType::kNumeric,
+                         AttributeRole::kQuasiIdentifier});
+    domains.push_back(AttributeDomain::Numeric(0, domain_size - 1));
+    recoding.qi_attrs.push_back(a);
+    recoding.per_attr.push_back(AttributeRecoding::Identity(domain_size));
+  }
+  schema.AddAttribute(
+      {"s", AttributeType::kNumeric, AttributeRole::kSensitive});
+  domains.push_back(AttributeDomain::Numeric(0, 1));
+  return PublishedTable(schema, domains, recoding, /*sensitive_attr=*/num_qi,
+                        /*retention_p=*/0.3, /*k=*/1,
+                        {std::vector<int32_t>(num_qi, 0)}, {0}, {1});
+}
+
+ExternalDatabase OneIndividualEdb(int num_qi, std::vector<int32_t> codes) {
+  ExternalDatabase edb;
+  std::vector<int> qi_attrs(num_qi);
+  for (int a = 0; a < num_qi; ++a) qi_attrs[a] = a;
+  edb.SetQiAttrs(qi_attrs);
+  edb.Add({"o", std::move(codes), /*microdata_row=*/0});
+  return edb;
+}
+
+TEST(LinkingAttackTest, CreateRejectsUnkeyableReleasesAndIndividuals) {
+  // Five attributes of 2^16 cells each: 2^80 signatures overflow uint64.
+  const PublishedTable wide = OneRowIdentityRelease(5, 1 << 16);
+  ASSERT_EQ(wide.recoding().NumCells(), UINT64_MAX);
+  const ExternalDatabase wide_edb = OneIndividualEdb(5, {0, 0, 0, 0, 0});
+  const Status overflow = LinkingAttack::Create(&wide, &wide_edb).status();
+  EXPECT_TRUE(overflow.IsInvalidArgument()) << overflow.ToString();
+
+  // A keyable release: its one individual links, but a QI code outside
+  // the release's domain is rejected.
+  const PublishedTable narrow = OneRowIdentityRelease(2, 4);
+  const ExternalDatabase fits = OneIndividualEdb(2, {0, 0});
+  LinkingAttack attacker = LinkingAttack::Create(&narrow, &fits).ValueOrDie();
+  EXPECT_EQ(attacker.CrucialRow(0).ValueOrDie(), 0u);
+  ASSERT_EQ(attacker.Candidates(0).size(), 1u);
+  EXPECT_EQ(attacker.Candidates(0)[0], 0u);
+  EXPECT_EQ(attacker.Members(), std::vector<size_t>{0});
+  for (std::vector<int32_t> codes :
+       {std::vector<int32_t>{0, 4}, std::vector<int32_t>{-1, 0}}) {
+    ExternalDatabase bad = OneIndividualEdb(2, codes);
+    const Status status = LinkingAttack::Create(&narrow, &bad).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  }
 }
 
 // --------------------------------------------------------- Hospital attack
@@ -285,7 +341,11 @@ TEST(LinkingAttackTest, IndexMatchesBruteForceCrucialTupleScan) {
         scan.push_back(static_cast<uint32_t>(j));
       }
     }
-    EXPECT_EQ(attacker.Candidates(*row), scan) << i;
+    const std::span<const uint32_t> candidates = attacker.Candidates(*row);
+    ASSERT_EQ(candidates.size(), scan.size()) << i;
+    for (size_t c = 0; c < scan.size(); ++c) {
+      EXPECT_EQ(candidates[c], scan[c]) << i << " candidate " << c;
+    }
     if (scan.size() > 1) ++shared_cells;
   }
   EXPECT_GT(shared_cells, 0u);
@@ -544,41 +604,150 @@ TEST(GeneralizationAttackTest, Lemma1ExclusionPrior) {
 
 // ----------------------------------------------------- MaxGrowth machinery
 
-TEST(AttackResultTest, MaxGrowthAndGreedyPredicate) {
+TEST(AttackResultTest, MaxGrowthAndExactPredicate) {
   AttackResult r;
   r.posterior = {0.5, 0.3, 0.1, 0.1};
   BackgroundKnowledge prior;
   prior.pdf = {0.25, 0.25, 0.25, 0.25};
   EXPECT_NEAR(MaxGrowth(r.posterior, prior).ValueOrDie(), 0.3, 1e-12);
   // With rho1 = 0.5 the best Q takes the two grown values {0,1}.
-  EXPECT_NEAR(MaxPosteriorGivenPriorBound(r.posterior, prior, 0.5).ValueOrDie(), 0.8, 1e-12);
+  EXPECT_NEAR(
+      MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.5).ValueOrDie(),
+      0.8, 1e-12);
   // With rho1 = 0.25 only one value fits.
-  EXPECT_NEAR(MaxPosteriorGivenPriorBound(r.posterior, prior, 0.25).ValueOrDie(), 0.5, 1e-12);
+  EXPECT_NEAR(
+      MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.25).ValueOrDie(),
+      0.5, 1e-12);
 }
 
-TEST(AttackResultTest, ExactKnapsackDominatesGreedy) {
+/// A random pdf over `m` values; `ties` > 0 draws every mass from that
+/// many levels, so equal posteriors and equal grid costs are common.
+std::vector<double> RandomPdf(int m, int ties, Rng& rng) {
+  std::vector<double> pdf(m);
+  for (double& v : pdf) {
+    v = ties > 0 ? static_cast<double>(1 + rng.UniformU64(ties))
+                 : rng.UniformDouble();
+  }
+  NormalizeInPlace(pdf);
+  return pdf;
+}
+
+TEST(AttackResultTest, ExactKnapsackMatchesBruteForce) {
+  // Oracle: every subset of the grid-rounded costs within the budget, its
+  // posteriors summed in index order; the knapsack must return the
+  // largest such sum exactly.
   Rng rng(77);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int m = 3 + static_cast<int>(rng.UniformU64(20));
+  for (int trial = 0; trial < 120; ++trial) {
+    const int m = 1 + static_cast<int>(rng.UniformU64(16));
+    const int ties = static_cast<int>(rng.UniformU64(4));
     AttackResult r;
-    r.posterior.resize(m);
+    r.posterior = RandomPdf(m, ties, rng);
     BackgroundKnowledge prior;
-    prior.pdf.resize(m);
-    for (int i = 0; i < m; ++i) {
-      r.posterior[i] = rng.UniformDouble();
-      prior.pdf[i] = rng.UniformDouble();
-    }
-    NormalizeInPlace(r.posterior);
-    NormalizeInPlace(prior.pdf);
-    for (double rho1 : {0.1, 0.3, 0.6}) {
-      const double greedy = MaxPosteriorGivenPriorBound(r.posterior, prior, rho1).ValueOrDie();
-      const double exact =
-          MaxPosteriorGivenPriorBoundExact(r.posterior, prior, rho1, 1e-4).ValueOrDie();
-      EXPECT_GE(exact, greedy - 1e-9)
-          << "trial " << trial << " rho1 " << rho1;
-      EXPECT_LE(exact, 1.0 + 1e-9);
+    prior.pdf = RandomPdf(m, ties, rng);
+    if (trial % 5 == 0) prior.pdf[rng.UniformU64(m)] = 0.0;  // a free value
+    for (double resolution : {1e-4, 0.05}) {
+      for (double rho1 : {0.0, 0.1, 0.3, 0.6, 1.0}) {
+        std::vector<int64_t> cost(m);
+        for (int i = 0; i < m; ++i) {
+          cost[i] = static_cast<int64_t>(prior.pdf[i] / resolution);
+        }
+        const int64_t budget = static_cast<int64_t>(rho1 / resolution);
+        double oracle = 0.0;
+        for (uint32_t subset = 0; subset < (1u << m); ++subset) {
+          int64_t used = 0;
+          double sum = 0.0;
+          for (int i = 0; i < m; ++i) {
+            if ((subset >> i & 1u) == 0) continue;
+            used += cost[i];
+            sum += r.posterior[i];
+          }
+          if (used <= budget) oracle = std::max(oracle, sum);
+        }
+        EXPECT_EQ(MaxPosteriorGivenPriorBoundExact(r.posterior, prior, rho1,
+                                                   resolution)
+                      .ValueOrDie(),
+                  oracle)
+            << "trial " << trial << " m " << m << " rho1 " << rho1
+            << " resolution " << resolution;
+      }
     }
   }
+}
+
+/// The dense 0/1 knapsack over every grid cell of the budget, as the
+/// attack layer ran it before the frontier: the reference the frontier
+/// must equal bit for bit.
+double DenseGridKnapsack(const std::vector<double>& posterior,
+                         const std::vector<double>& prior, double rho1,
+                         double resolution) {
+  const size_t m = posterior.size();
+  std::vector<int64_t> cost(m);
+  for (size_t i = 0; i < m; ++i) {
+    cost[i] = static_cast<int64_t>(prior[i] / resolution);
+  }
+  const int64_t budget = static_cast<int64_t>(rho1 / resolution);
+  std::vector<double> best(budget + 1, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    if (cost[i] > budget) continue;
+    for (int64_t b = budget; b >= cost[i]; --b) {
+      best[b] = std::max(best[b], best[b - cost[i]] + posterior[i]);
+    }
+  }
+  return best[budget];
+}
+
+TEST(AttackResultTest, ExactKnapsackMatchesDenseGridDp) {
+  constexpr int kUs = 50;
+  Rng rng(2008);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int target = static_cast<int>(rng.UniformU64(kUs));
+    std::vector<int32_t> excluded;
+    for (int x = 0; x < kUs; ++x) {
+      if (x != target && rng.Bernoulli(0.4)) excluded.push_back(x);
+    }
+    const std::vector<BackgroundKnowledge> priors = {
+        BackgroundKnowledge::Uniform(kUs).ValueOrDie(),
+        BackgroundKnowledge::SkewedTowards(kUs, target, 0.1).ValueOrDie(),
+        BackgroundKnowledge::SkewedTowards(kUs, target, 0.35).ValueOrDie(),
+        BackgroundKnowledge::Excluding(kUs, excluded).ValueOrDie(),
+        BackgroundKnowledge::RandomSkewed(kUs, 0.1, rng).ValueOrDie()};
+    // Odd trials draw tie-heavy posteriors.
+    const std::vector<double> posterior =
+        RandomPdf(kUs, trial % 2 == 1 ? 3 : 0, rng);
+    for (size_t k = 0; k < priors.size(); ++k) {
+      for (double rho1 : {0.02, 0.1, 0.2, 0.35, 0.5}) {
+        const double frontier =
+            MaxPosteriorGivenPriorBoundExact(posterior, priors[k], rho1)
+                .ValueOrDie();
+        const double dense =
+            DenseGridKnapsack(posterior, priors[k].pdf, rho1, 1e-4);
+        EXPECT_EQ(frontier, dense)
+            << "trial " << trial << " prior " << k << " rho1 " << rho1;
+        EXPECT_EQ(std::signbit(frontier), std::signbit(dense));
+      }
+    }
+  }
+}
+
+TEST(AttackResultTest, ExactKnapsackRejectsMalformedInputs) {
+  const std::vector<double> posterior = {0.6, 0.4};
+  BackgroundKnowledge prior;
+  prior.pdf = {0.5, 0.5};
+  EXPECT_TRUE(MaxPosteriorGivenPriorBoundExact(posterior, prior, -0.1)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(MaxPosteriorGivenPriorBoundExact(posterior, prior, 1e300)
+                  .status()
+                  .IsInvalidArgument());
+  BackgroundKnowledge negative;
+  negative.pdf = {-0.5, 1.5};
+  EXPECT_TRUE(MaxPosteriorGivenPriorBoundExact(posterior, negative, 0.5)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      MaxPosteriorGivenPriorBoundExact({std::nan(""), 0.4}, prior, 0.5)
+          .status()
+          .IsInvalidArgument());
 }
 
 TEST(AttackResultTest, ExactKnapsackSolvesKnownInstance) {
@@ -600,7 +769,9 @@ TEST(AttackResultTest, ZeroPriorValuesAreFree) {
   r.posterior = {0.6, 0.4};
   BackgroundKnowledge prior;
   prior.pdf = {0.0, 1.0};
-  EXPECT_NEAR(MaxPosteriorGivenPriorBound(r.posterior, prior, 0.0).ValueOrDie(), 0.6, 1e-12);
+  EXPECT_NEAR(
+      MaxPosteriorGivenPriorBoundExact(r.posterior, prior, 0.0).ValueOrDie(),
+      0.6, 1e-12);
 }
 
 }  // namespace

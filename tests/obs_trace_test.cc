@@ -15,9 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "attack/adversaries.h"
+#include "attack/publishers.h"
+#include "attack/scenario.h"
 #include "common/parallel/thread_pool.h"
 #include "common/result.h"
 #include "core/robust_publisher.h"
+#include "datagen/census.h"
 #include "datagen/hospital.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -361,6 +365,53 @@ TEST_F(GlobalTracerTest, PublishSpanSetIsThreadCountInvariant) {
     }
     EXPECT_EQ(round_rows, incognito ? 0u : rows_scanned);
   }
+}
+
+TEST_F(GlobalTracerTest, BreachRoundSpansAreThreadCountInvariant) {
+  // An audit round under a PG release names its two layers: the ℰ index
+  // build and the trial fan-out, each once, with attributes that describe
+  // the work and not the schedule.
+  CensusDataset census = GenerateCensus(2000, 42).ValueOrDie();
+  ScenarioDataset dataset;
+  dataset.name = "census";
+  dataset.microdata = &census.table;
+  dataset.taxonomies = census.TaxonomyPointers();
+  dataset.sensitive_attr = CensusColumns::kIncome;
+  ScenarioOptions options;
+  options.harness.num_victims = 40;
+  const PgScenarioPublisher publisher;
+  const Release release =
+      publisher.Publish(dataset, options, nullptr).ValueOrDie();
+  const CorruptionLinkingAdversary adversary;
+  auto run = [&](int threads) {
+    ThreadPool pool(threads);
+    ScenarioOptions round = options;
+    round.harness.pool = threads > 1 ? &pool : nullptr;
+    tracer().Clear();
+    const Status status =
+        BreachScenario::RunOnRelease(release, adversary, dataset, round)
+            .status();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return tracer().TakeSnapshot();
+  };
+  const std::vector<SpanRecord> serial_spans = run(1);
+  const std::vector<SpanRecord> eight_spans = run(8);
+  const auto serial = SpanSet(serial_spans);
+  EXPECT_EQ(serial.count({"attack.linking_index", "<root>"}), 1u);
+  EXPECT_EQ(serial.count({"attack.trials", "<root>"}), 1u);
+  EXPECT_EQ(serial, SpanSet(eight_spans));
+  for (const char* name : {"attack.linking_index", "attack.trials"}) {
+    EXPECT_EQ(SpanAttrs(serial_spans, name), SpanAttrs(eight_spans, name))
+        << name;
+  }
+  const auto index = SpanAttrs(serial_spans, "attack.linking_index");
+  ASSERT_EQ(index.size(), 1u);
+  // The runner-built ℰ: every microdata row plus rows/20 extraneous.
+  EXPECT_EQ(index[0].at("individuals"), 2000u + 2000u / 20);
+  EXPECT_EQ(index[0].at("rows"), release.pg->num_rows());
+  const auto trials = SpanAttrs(serial_spans, "attack.trials");
+  ASSERT_EQ(trials.size(), 1u);
+  EXPECT_EQ(trials[0].at("trials"), 40u);
 }
 
 // ------------------------------------------------------- Chrome export
