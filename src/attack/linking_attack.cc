@@ -147,8 +147,7 @@ Result<LinkingAttack> LinkingAttack::Create(const PublishedTable* published,
   }
   // A key is Σ_a gen_a × stride_a, stride_a the product of the later
   // attributes' radices: the mixed-radix number SignatureOfCodes builds,
-  // read off one table per attribute (code -> gen × stride). No term or
-  // partial sum reaches NumCells(), so none overflows.
+  // read off one table per attribute (code -> gen × stride).
   const size_t d = recoding.qi_attrs.size();
   std::vector<std::vector<uint64_t>> term(d);
   uint64_t stride = 1;
